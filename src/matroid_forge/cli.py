@@ -95,8 +95,11 @@ def _load_finitary(report: Report, path: str) -> FinitaryMatroid:
 
 
 def _load_setspec(report: Report, label: str, value: str):
-    path = Path(value)
-    if path.is_file():
+    try:
+        is_file = Path(value).is_file()
+    except OSError:  # e.g. a long inline spec exceeds the file-name limit
+        is_file = False
+    if is_file:
         report.add_input(label, value)
         return parse_setspec_text(_read(value))
     return parse_setspec_text(value)
@@ -154,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", help="set spec (inline or file)")
     p.add_argument("--right", help="set spec (inline or file)")
     p.add_argument("--set", dest="single", help="set spec for classify")
-    p.add_argument("--fuel", type=int, default=256)
 
     p = sub.add_parser("gentrunc", help="generalised-truncation verification")
     p.add_argument("action", choices=["verify", "enumerate", "verify-finitary"])
@@ -162,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family")
     p.add_argument("--tasks")
     p.add_argument("--raw", action="store_true", help="use the brute-force oracle")
-    p.add_argument("--fuel", type=int, default=256)
 
     p = sub.add_parser("forcing", help="finite-depth forcing step")
     p.add_argument("action", choices=["step", "seed", "check-claims"])
@@ -171,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task")
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--prefix")
-    p.add_argument("--fuel", type=int, default=256)
     p.add_argument("--out", help="write the seed family file here")
 
     p = sub.add_parser("selftest", help="built-in invariant suites")
@@ -238,9 +238,9 @@ def _cmd_equiv(args, report: Report) -> int:
     left = _finite_carrier(matroid, _load_setspec(report, "left", args.left))
     right = _finite_carrier(matroid, _load_setspec(report, "right", args.right))
     if args.action == "strong":
-        answer = strongly_equivalent(matroid, left, right, args.fuel)
+        answer = strongly_equivalent(matroid, left, right)
     else:
-        answer = almost_spans(matroid, left, right, args.fuel)
+        answer = almost_spans(matroid, left, right)
     report.add("verdict", answer)
     return _tri_exit(answer)
 
@@ -280,7 +280,7 @@ def _cmd_gentrunc(args, report: Report) -> int:
     if args.tasks:
         report.add_input("tasks", args.tasks)
         tasks = [(lo, up) for _, lo, up in parse_tasks_text(_read(args.tasks))]
-    outcome = verify_family_finitary(matroid, family, tasks, args.fuel)
+    outcome = verify_family_finitary(matroid, family, tasks)
     report.add("verdict", outcome)
     for lower, upper in outcome.unmet_tasks:
         report.add("unmet", f"lower=({lower.directive()}) upper=({upper.directive()})")
@@ -319,11 +319,11 @@ def _cmd_forcing(args, report: Report) -> int:
     task = make_task(matroid, lower, upper)
     report.add("task", name)
     if args.action == "check-claims":
-        outcome = check_claim_preconditions(matroid, family, task, args.fuel)
+        outcome = check_claim_preconditions(matroid, family, task)
         report.add("verdict", outcome)
         return EXIT_OK if outcome.ok else EXIT_VIOLATION
     try:
-        cert = forcing_step(matroid, family, task, args.depth, args.fuel)
+        cert = forcing_step(matroid, family, task, args.depth)
     except ClaimError as exc:
         report.add("verdict", exc.result)
         return EXIT_VIOLATION

@@ -6,8 +6,7 @@ relative ranks are finite and equal.  On finite matroids everything is
 finite, so almost-spanning is trivially true and strong equivalence reduces
 to equal size.  On the countable schemas both relations stay decidable, so
 the three-valued return type never actually produces `unknown` here; it
-exists for the CLI contract, and `fuel` bounds the candidate searches of the
-callers that do explore (claim satisfiers, task satisfiers).
+exists for the CLI contract.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from .core import FiniteMatroid, fmt
 from .errors import DependenceError, GroundError
 from .finitary import INFINITE, FinitaryMatroid
 from .templates import TemplateSet
-
-DEFAULT_FUEL = 256
 
 
 class _Unknown:
@@ -51,7 +48,7 @@ def _carrier(matroid, value):
     raise GroundError(f"unsupported matroid object {matroid!r}")
 
 
-def almost_spans(matroid, spanned, spanner, fuel: int = DEFAULT_FUEL):
+def almost_spans(matroid, spanned, spanner):
     """True iff `spanner` almost spans `spanned`: rank of spanned over spanner is finite."""
     inner = _carrier(matroid, spanned)
     outer = _carrier(matroid, spanner)
@@ -60,7 +57,7 @@ def almost_spans(matroid, spanned, spanner, fuel: int = DEFAULT_FUEL):
     return matroid.relative_rank(inner, outer) != INFINITE
 
 
-def strongly_equivalent(matroid, left, right, fuel: int = DEFAULT_FUEL):
+def strongly_equivalent(matroid, left, right):
     """Decide strong equivalence: equal, finite relative ranks in both directions.
 
     When either difference is finite the answer is the finite-difference

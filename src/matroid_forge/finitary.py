@@ -12,7 +12,7 @@ block c depends only on c modulo a computable cycle length.
 
 from __future__ import annotations
 
-from math import gcd, inf
+from math import gcd, inf, lcm
 from typing import Iterable
 
 from .core import FiniteMatroid, OracleMatroid, max_independent_extension
@@ -24,10 +24,6 @@ INFINITE = inf
 # safety caps for searches whose success is guaranteed by matroid theory
 _HEAD_LIMIT = 100_000
 _EXCHANGE_SCAN_LIMIT = 100_000
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 class FinitaryMatroid:
@@ -58,6 +54,15 @@ class FinitaryMatroid:
 
     def max_independent_subtemplate(self, template, over=None) -> TemplateSet:
         """Greedy (ascending-id) maximal subset independent over `over`, as a template."""
+        raise NotImplementedError
+
+    def class_member(self, rep, lower, upper=None) -> TemplateSet | None:
+        """A member B of rep's strong-equivalence class with lower <= B <= upper, or None.
+
+        `rep` must be independent; `upper=None` means no upper bound.  The
+        answer is exact: None means no such member exists.  When rep itself
+        qualifies, rep is returned.
+        """
         raise NotImplementedError
 
     def canonical_base(self) -> TemplateSet:
@@ -97,6 +102,24 @@ class FreeMatroid(FinitaryMatroid):
     def max_independent_subtemplate(self, template, over=None) -> TemplateSet:
         t = TemplateSet.coerce(template)
         return t - TemplateSet.coerce(over) if over is not None else t
+
+    def class_member(self, rep, lower, upper=None) -> TemplateSet | None:
+        # B ~ rep iff |B - rep| = |rep - B| is finite; start from the member
+        # closest to rep and balance it with the smallest free ids
+        r, lo = TemplateSet.coerce(rep), TemplateSet.coerce(lower)
+        up = TemplateSet.coerce(upper) if upper is not None else TemplateSet.full()
+        if not lo.issubset(up):
+            return None
+        member = (r & up) | lo
+        gained, lost = (lo - r).size(), (r - up).size()
+        if gained is None or lost is None:
+            return None
+        pool = member - lo if gained > lost else up - member
+        count, size = abs(gained - lost), pool.size()
+        if size is not None and size < count:
+            return None
+        patch = TemplateSet.from_finite(pool.first(count))
+        return member - patch if gained > lost else member | patch
 
     def canonical_base(self) -> TemplateSet:
         return TemplateSet.full()
@@ -139,7 +162,7 @@ class PeriodicSumMatroid(FinitaryMatroid):
             raise SpecError("template threshold too large for block analysis")
         cycle = 1
         for t in templates:
-            cycle = _lcm(cycle, self._cycle(t))
+            cycle = lcm(cycle, self._cycle(t))
         return head, cycle
 
     # finite sets -----------------------------------------------------------
@@ -200,13 +223,72 @@ class PeriodicSumMatroid(FinitaryMatroid):
         residues = {n % period for c in range(head, head + cycle) for n in choose(c)}
         return TemplateSet(period, residues, head * self.block, low)
 
+    def class_member(self, rep, lower, upper=None) -> TemplateSet | None:
+        # B ~ rep iff all but finitely many blocks B_c span exactly cl(R_c) and
+        # the sum of |B_c| - |R_c| is 0: every tail block needs such a spanning
+        # choice, and the head plus finitely many deviating tail blocks must balance
+        r, lo = TemplateSet.coerce(rep), TemplateSet.coerce(lower)
+        up = TemplateSet.coerce(upper) if upper is not None else TemplateSet.full()
+        head, cycle = self._window(r, lo, up)
+        comp = self.component
+
+        def parts(c: int) -> tuple[frozenset, frozenset, frozenset]:
+            return self._pattern(lo, c), self._pattern(up, c), self._pattern(r, c)
+
+        def grow(lp: frozenset, pool: frozenset, rp: frozenset, size: int) -> set:
+            # independent extension of lp inside pool up to `size`, rep's elements first
+            chosen = set(lp)
+            for e in sorted(pool - lp, key=lambda e: (e not in rp, self._pos[e])):
+                if len(chosen) < size and comp.is_independent(chosen | {e}):
+                    chosen.add(e)
+            return chosen
+
+        def spanning(c: int) -> set | None:
+            # B_c with L_c <= B_c <= U_c spanning exactly cl(R_c); needs L_c independent
+            lp, upp, rp = parts(c)
+            span = comp.span_of(rp)
+            chosen = grow(lp, upp & span, rp, len(rp))
+            return chosen if len(chosen) == len(rp) and chosen <= span else None
+
+        ranges = []  # bounds on |B_c| - |R_c| over independent L_c <= B_c <= U_c
+        for lp, upp, rp in map(parts, range(head + cycle)):
+            if not (lp <= upp and comp.is_independent(lp)):
+                return None
+            ranges.append((len(lp) - len(rp), comp.rank(upp) - len(rp)))
+        if None in [spanning(c) for c in range(head, head + cycle)]:
+            return None
+        ranges, tail = ranges[:head], ranges[head:]
+        shifts = [min(max(0, a), b) for a, b in ranges]
+        excess = sum(shifts)
+        i = 0
+        while excess:
+            if i == len(ranges):
+                # finitely many tail blocks may deviate from spanning exactly
+                if not any(a if excess > 0 else b for a, b in tail):
+                    return None
+                ranges += tail
+                shifts += [0] * cycle
+            a, b = ranges[i]
+            step = max(a - shifts[i], min(b - shifts[i], -excess))
+            shifts[i] += step
+            excess += step
+            i += 1
+
+        low: list[int] = []
+        for c, shift in enumerate(shifts):
+            lp, upp, rp = parts(c)
+            low.extend(c * self.block + self._pos[e] for e in grow(lp, upp, rp, len(rp) + shift))
+        start = len(shifts)
+        period = cycle * self.block
+        residues = {
+            (c * self.block + self._pos[e]) % period
+            for c in range(start, start + cycle)
+            for e in spanning(c)
+        }
+        return TemplateSet(period, residues, start * self.block, low)
+
     def canonical_base(self) -> TemplateSet:
         return self.max_independent_subtemplate(TemplateSet.full())
-
-
-def relative_rank_template(matroid: FinitaryMatroid, xs, ys) -> int | float:
-    """Relative rank of X over Y for finite sets or templates; INFINITE when unbounded."""
-    return matroid.relative_rank(xs, ys)
 
 
 def removal_witness(

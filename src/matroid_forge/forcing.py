@@ -16,15 +16,14 @@ re-verifies every rank inequality it claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
-from .equivalence import find_comparable_pair, strongly_equivalent
+from .equivalence import find_comparable_pair
 from .errors import ClaimError, FamilyError, SchemaError, SpecError, TaskError
 from .finitary import INFINITE, FinitaryMatroid, removal_witness
-from .gentrunc import TruncationFamily
+from .gentrunc import TruncationFamily, class_member
 from .templates import TemplateSet
-
-_SATISFIER_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,10 @@ class ClaimResult:
     status is one of 'ok', 'claim1-violated', 'claim2-violated',
     'task-satisfiable-directly'.  The first claim says no class
     representative is almost spanned by the task's lower set; the second
-    says none almost spans the task's upper set.  When a violating
-    representative admits an exchange into a class member that settles the
-    task outright (and that member is not the representative itself), the
-    satisfier is reported instead.
+    says none almost spans the task's upper set.  When the first violating
+    representative's class has a member that settles the task outright (lies
+    between its sets or contains the upper set) and that member is not the
+    representative itself, the satisfier is reported instead.
     """
 
     status: str
@@ -112,46 +111,10 @@ class ClaimResult:
         return f"{self.status}({self.violator.directive()})"
 
 
-def _claim1_satisfier(matroid, rep, task, fuel) -> TemplateSet | None:
-    """Member of rep's class between lower and upper, built by padding the lower set."""
-    cap = min(max(fuel, 1), _SATISFIER_CAP)
-    gap = task.gap
-    for k in range(cap + 1):
-        if k and not (gap.is_infinite or len(gap.low) >= k):
-            return None
-        pad = TemplateSet.from_finite(gap.first(k)) if k else TemplateSet.empty()
-        candidate = task.lower | pad
-        if matroid.certify(candidate) and strongly_equivalent(matroid, candidate, rep):
-            return candidate
-    return None
-
-
-def _claim2_satisfier(matroid, rep, task, fuel) -> TemplateSet | None:
-    """Member of rep's class settling the task, built around the upper set."""
-    cap = min(max(fuel, 1), _SATISFIER_CAP)
-    outside = rep - task.upper
-    for k in range(cap + 1):
-        if k and not (outside.is_infinite or len(outside.low) >= k):
-            break
-        pad = TemplateSet.from_finite(outside.first(k)) if k else TemplateSet.empty()
-        candidate = task.upper | pad
-        if matroid.certify(candidate) and strongly_equivalent(matroid, candidate, rep):
-            return candidate
-    shrinkable = task.upper - task.lower
-    for k in range(1, cap + 1):
-        if not (shrinkable.is_infinite or len(shrinkable.low) >= k):
-            break
-        candidate = task.upper - TemplateSet.from_finite(shrinkable.first(k))
-        if strongly_equivalent(matroid, candidate, rep):
-            return candidate
-    return None
-
-
 def check_claim_preconditions(
     matroid: FinitaryMatroid,
     family: TruncationFamily,
     task: Task,
-    fuel: int = 256,
 ) -> ClaimResult:
     """Verify the two structural claims a step needs, on the representatives.
 
@@ -166,19 +129,18 @@ def check_claim_preconditions(
             f"representatives must be pairwise incomparable; "
             f"{pair[0].directive()} and {pair[1].directive()} are not"
         )
-    for rep in reps:
-        if matroid.relative_rank(rep, task.lower) != INFINITE:
-            satisfier = _claim1_satisfier(matroid, rep, task, fuel)
-            if satisfier is not None and satisfier != rep:
-                return ClaimResult("task-satisfiable-directly", rep, 1, satisfier)
-            return ClaimResult("claim1-violated", rep, 1)
-    for rep in reps:
-        if matroid.relative_rank(task.upper, rep) != INFINITE:
-            satisfier = _claim2_satisfier(matroid, rep, task, fuel)
-            if satisfier is not None and satisfier != rep:
-                return ClaimResult("task-satisfiable-directly", rep, 2, satisfier)
-            return ClaimResult("claim2-violated", rep, 2)
-    return ClaimResult("ok")
+    violators = chain(
+        ((1, rep) for rep in reps if matroid.relative_rank(rep, task.lower) != INFINITE),
+        ((2, rep) for rep in reps if matroid.relative_rank(task.upper, rep) != INFINITE),
+    )
+    claim, rep = next(violators, (None, None))
+    if rep is None:
+        return ClaimResult("ok")
+    between = class_member(matroid, rep, task.lower, task.upper)
+    satisfier = between or class_member(matroid, rep, task.upper)
+    if satisfier is not None and satisfier != rep:
+        return ClaimResult("task-satisfiable-directly", rep, claim, satisfier)
+    return ClaimResult(f"claim{claim}-violated", rep, claim)
 
 
 def _check_domain(condition: Condition, task: Task) -> None:
@@ -329,7 +291,6 @@ def forcing_step(
     family: TruncationFamily,
     task: Task,
     depth: int,
-    fuel: int = 256,
 ) -> StepCertificate:
     """Run one step at finite depth: meet every dense set with level <= depth.
 
@@ -340,7 +301,7 @@ def forcing_step(
     """
     if depth < 0:
         raise SpecError("depth must be a natural number")
-    claims = check_claim_preconditions(matroid, family, task, fuel)
+    claims = check_claim_preconditions(matroid, family, task)
     if not claims.ok:
         raise ClaimError(claims)
     reps = list(family)

@@ -20,15 +20,13 @@ from typing import Iterable, Sequence
 
 from .core import FiniteMatroid, Verdict, check_base_axioms, exhaustive_bound
 from .equivalence import find_comparable_pair, strongly_equivalent
-from .errors import BoundError, FamilyError, TaskError
+from .errors import BoundError, FamilyError, SchemaError, TaskError
 from .finitary import FinitaryMatroid
 from .templates import TemplateSet
 
 VERIFY_FAMILY_MAX_GROUND = 10
 LEVEL_ENUM_MAX_GROUND = 10
 RAW_ENUM_MAX_INDEP = 16
-
-_SATISFIER_PATCH_CAP = 64
 
 
 def _sorted_family(matroid: FiniteMatroid, family: Iterable[Iterable[int]]) -> list[frozenset]:
@@ -224,61 +222,28 @@ def _normalize_task_pair(matroid: FinitaryMatroid, pair) -> tuple[TemplateSet, T
     return lower, upper
 
 
-def _class_members_between(matroid, rep, lower, upper, fuel) -> TemplateSet | None:
-    """Fueled search for a member of rep's class settling the pair (lower, upper)."""
-    cap = min(max(fuel, 1), _SATISFIER_PATCH_CAP)
-    if upper.issubset(rep):
-        return rep
-    if lower.issubset(rep) and rep.issubset(upper):
-        return rep
-    core = (rep & upper) | lower
-    candidates = [core]
-    pool_up = upper - core
-    for j in range(1, cap + 1):
-        if pool_up.is_infinite or len(pool_up.low) >= j:
-            candidates.append(core | TemplateSet.from_finite(pool_up.first(j)))
-    pool_down = core - lower
-    for j in range(1, cap + 1):
-        if pool_down.is_infinite or len(pool_down.low) >= j:
-            candidates.append(core - TemplateSet.from_finite(pool_down.first(j)))
-    pool_sup = rep - upper
-    for j in range(0, cap + 1):
-        if j == 0 or pool_sup.is_infinite or len(pool_sup.low) >= j:
-            extra = TemplateSet.from_finite(pool_sup.first(j)) if j else TemplateSet.empty()
-            candidates.append(upper | extra)
-    for cand in candidates:
-        if not matroid.certify(cand):
-            continue
-        between = lower.issubset(cand) and cand.issubset(upper)
-        covers = upper.issubset(cand)
-        if not (between or covers):
-            continue
-        if strongly_equivalent(matroid, cand, rep):
-            return cand
-    return None
+def class_member(matroid: FinitaryMatroid, rep, lower, upper=None) -> TemplateSet | None:
+    """`matroid.class_member` with its witness re-verified independently.
 
-
-def _class_triggered_by(matroid, rep, lower, fuel) -> bool:
-    """Whether rep's class contains a superset of `lower` (fueled search)."""
-    if lower.issubset(rep):
-        return True
-    cap = min(max(fuel, 1), _SATISFIER_PATCH_CAP)
-    removable = rep - lower
-    for j in range(cap + 1):
-        if j and not (removable.is_infinite or len(removable.low) >= j):
-            break
-        drop = TemplateSet.from_finite(removable.first(j)) if j else TemplateSet.empty()
-        cand = (rep - drop) | lower
-        if matroid.certify(cand) and strongly_equivalent(matroid, cand, rep):
-            return True
-    return False
+    A nested pair (lower, upper) triggers rep's class when
+    `class_member(m, rep, lower)` exists, and the class settles it when
+    `class_member(m, rep, lower, upper) or class_member(m, rep, upper)` does.
+    """
+    member = matroid.class_member(rep, lower, upper)
+    if member is not None and not (
+        matroid.certify(member)
+        and lower.issubset(member)
+        and (upper is None or member.issubset(upper))
+        and strongly_equivalent(matroid, member, rep)
+    ):
+        raise SchemaError(f"class member {member.directive()} failed re-verification")
+    return member
 
 
 def verify_family_finitary(
     matroid: FinitaryMatroid,
     family: TruncationFamily,
     tasks: Sequence = (),
-    fuel: int = 256,
 ) -> FinitaryFamilyVerdict:
     """Task-relative family check on a countable schema.
 
@@ -286,9 +251,9 @@ def verify_family_finitary(
     certified independence; pairwise non-equivalence; pairwise
     incomparability under almost-spanning, which is what rules out
     proper-subset spanning between distinct classes).  Condition 4 is checked
-    only for the supplied task pairs, each decided by a fueled search for a
-    class member settling the pair; this is an approximation by design, never
-    a full verdict for an infinite matroid.
+    only for the supplied task pairs; for each pair, whether some class is
+    triggered and whether some class settles it are decided exactly by the
+    schema's `class_member`.
     """
     reps = list(family)
     if not reps:
@@ -310,9 +275,10 @@ def verify_family_finitary(
     unmet = []
     for raw in tasks:
         lower, upper = _normalize_task_pair(matroid, raw)
-        triggered = any(_class_triggered_by(matroid, rep, lower, fuel) for rep in reps)
-        if not triggered:
-            continue
-        if not any(_class_members_between(matroid, rep, lower, upper, fuel) for rep in reps):
+        triggered = any(class_member(matroid, rep, lower) for rep in reps)
+        if triggered and not any(
+            class_member(matroid, rep, lower, upper) or class_member(matroid, rep, upper)
+            for rep in reps
+        ):
             unmet.append((lower, upper))
     return FinitaryFamilyVerdict(Verdict.passed(), tuple(unmet))

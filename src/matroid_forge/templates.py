@@ -15,17 +15,13 @@ exactly what is needed to describe infinite independent sets finitely.
 from __future__ import annotations
 
 from itertools import islice
-from math import gcd
+from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import SpecError
 
 # lcm of combined periods is capped so degenerate inputs fail loudly
 _PERIOD_LIMIT = 1_000_000
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 class TemplateSet:
@@ -151,7 +147,7 @@ class TemplateSet:
     # -- algebra -----------------------------------------------------------
 
     def _combine(self, other: "TemplateSet", keep) -> "TemplateSet":
-        period = _lcm(self.period, other.period)
+        period = lcm(self.period, other.period)
         if period > _PERIOD_LIMIT:
             raise SpecError("combined period exceeds the workbench limit")
         threshold = max(self.threshold, other.threshold)
@@ -225,7 +221,7 @@ class TemplateSet:
 
         if not indices.is_infinite:
             return TemplateSet.from_finite(nth(i) for i in indices.low)
-        cycle = _lcm(indices.period, block)
+        cycle = lcm(indices.period, block)
         start = max(indices.threshold, offset)
         firsts = [nth(m) for m in range(start, start + cycle) if m in indices]
         step = (cycle // block) * d

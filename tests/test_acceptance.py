@@ -24,7 +24,6 @@ from matroid_forge import (
     find_comparable_pair,
     forcing_step,
     make_task,
-    relative_rank_template,
     removal_witness,
     seed_family,
     strongly_equivalent,
@@ -196,7 +195,7 @@ def test_criterion_6_template_restriction_agreement():
             for _ in range(1000):
                 xs = frozenset(e for e in range(size) if rng.random() < 0.35)
                 ys = frozenset(e for e in range(size) if rng.random() < 0.35)
-                assert relative_rank_template(schema, xs, ys) == finite.relative_rank(xs, ys)
+                assert schema.relative_rank(xs, ys) == finite.relative_rank(xs, ys)
     _passed(6, "template ranks agree with finite restrictions")
 
 
@@ -225,7 +224,7 @@ def test_criterion_7_removal_witness_validity():
         assert not (witness & protected)
         assert all(w in outer for w in witness)
         left = outer - TemplateSet.from_finite(witness)
-        assert relative_rank_template(schema, inner, left) >= count
+        assert schema.relative_rank(inner, left) >= count
         done += 1
     _passed(7, "removal witnesses re-verify")
 

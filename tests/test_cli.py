@@ -66,8 +66,16 @@ class TestExitCodes:
         # the contract and is pinned here
         assert _tri_exit(UNKNOWN) == EXIT_UNKNOWN
 
-    def test_argparse_usage_error(self):
+    def test_argparse_usage_error(self, workdir):
         assert main(["no-such-command"]) == EXIT_USAGE
+        free = str(workdir / "free.txt")
+        for command in (
+            ["equiv", "classify", "--matroid", free, "--set", "evens"],
+            ["gentrunc", "verify-finitary", "--matroid", free, "--family", str(workdir / "fam.txt")],
+            ["forcing", "seed", "--matroid", free, "--prefix", "1"],
+        ):
+            assert main(command) == 0
+            assert main(command + ["--fuel", "256"]) == EXIT_USAGE
 
 
 class TestCommands:
@@ -114,12 +122,15 @@ class TestCommands:
         assert code == EXIT_USAGE
 
     def test_equiv_classify(self, workdir):
-        code, report = dispatch([
-            "equiv", "classify", "--matroid", str(workdir / "free.txt"),
-            "--set", "evens",
-        ])
-        assert code == 0
-        assert report_rows(report)["class"] == ["wild-candidate"]
+        # the second inline spec is longer than a file name may be
+        low = ",".join(str(n) for n in range(0, 300, 3))
+        for spec in ("evens", f"template d=4 res=1 t=300 low={low}"):
+            code, report = dispatch([
+                "equiv", "classify", "--matroid", str(workdir / "free.txt"),
+                "--set", spec,
+            ])
+            assert code == 0
+            assert report_rows(report)["class"] == ["wild-candidate"]
 
     def test_gentrunc_enumerate(self, workdir):
         (workdir / "u23.txt").write_text("matroid u23\nkind uniform\nparams k=2 n=3\n")

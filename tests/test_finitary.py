@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -11,8 +12,8 @@ from matroid_forge import (
     SpecError,
     TemplateSet,
     UniformMatroid,
-    relative_rank_template,
     removal_witness,
+    strongly_equivalent,
 )
 
 EVENS = TemplateSet(2, [0])
@@ -70,15 +71,15 @@ class TestCertify:
 
 class TestRelativeRank:
     def test_free_cases(self):
-        assert relative_rank_template(FREE, ODDS, EVENS) == INFINITE
-        assert relative_rank_template(FREE, {0, 2}, EVENS) == 0
-        assert relative_rank_template(FREE, {1, 2}, EVENS) == 1
+        assert FREE.relative_rank(ODDS, EVENS) == INFINITE
+        assert FREE.relative_rank({0, 2}, EVENS) == 0
+        assert FREE.relative_rank({1, 2}, EVENS) == 1
 
     def test_periodic_cases(self):
-        assert relative_rank_template(PAIRS, A_ALL, B_ALL) == 0
-        assert relative_rank_template(PAIRS, A_ALL, TemplateSet.empty()) == INFINITE
+        assert PAIRS.relative_rank(A_ALL, B_ALL) == 0
+        assert PAIRS.relative_rank(A_ALL, TemplateSet.empty()) == INFINITE
         # only blocks 0 and 1 contribute once b_0, b_1 are unavailable
-        assert relative_rank_template(PAIRS, A_ALL, B_ALL.patch(remove=[1, 3])) == 2
+        assert PAIRS.relative_rank(A_ALL, B_ALL.patch(remove=[1, 3])) == 2
 
     def test_agrees_with_restriction(self):
         rng = random.Random(7)
@@ -89,7 +90,7 @@ class TestRelativeRank:
                 for _ in range(60):
                     xs = frozenset(e for e in range(size) if rng.random() < 0.3)
                     ys = frozenset(e for e in range(size) if rng.random() < 0.3)
-                    assert relative_rank_template(schema, xs, ys) == finite.relative_rank(xs, ys)
+                    assert schema.relative_rank(xs, ys) == finite.relative_rank(xs, ys)
 
     def test_restriction_ranks(self):
         finite = PAIRS.restrict(6)
@@ -121,6 +122,75 @@ class TestMaxIndependentSubtemplate:
             assert not rich.certify(grown)
 
 
+def assemble(schema, patterns, start, cycle):
+    """Template with block c < start given by patterns[c], then patterns[start:] repeating."""
+    block, pos = schema.block, schema._pos
+    low = [c * block + pos[e] for c in range(start) for e in patterns[c]]
+    residues = [(c * block + pos[e]) % (cycle * block)
+                for c in range(start, start + cycle) for e in patterns[c]]
+    return TemplateSet(cycle * block, residues, start * block, low)
+
+
+def brute_class_member(schema, rep, lower, upper):
+    """Search every independent template free over head + cycle + 3 blocks."""
+    bound = TemplateSet.full() if upper is None else upper
+    head, cycle = schema._window(rep, lower, bound)
+    patterns = [frozenset(s) for s in schema.component.independent_sets()]
+    choices = [
+        [p for p in patterns if schema._pattern(lower, c) <= p <= schema._pattern(bound, c)]
+        for c in range(head + 3 + cycle)
+    ]
+    for picks in product(*choices):
+        member = assemble(schema, picks, head + 3, cycle)
+        if strongly_equivalent(schema, member, rep):
+            return member
+    return None
+
+
+class TestClassMember:
+    def test_periodic_matches_brute_force(self):
+        # a head of at most one block of rank <= 2 never needs more than two
+        # deviating tail blocks, so the brute-force window is exhaustive
+        rng = random.Random(3)
+        for _ in range(60):
+            component = rng.choice([UniformMatroid(1, 2), UniformMatroid(2, 3), UniformMatroid(2, 4)])
+            schema = PeriodicSumMatroid(component)
+            patterns = [frozenset(s) for s in component.independent_sets()]
+            head = rng.choice([0, 1])
+            cycle = 1 if head else rng.choice([1, 2])
+            blocks = range(head + cycle)
+            rep = assemble(schema, [rng.choice(patterns) for _ in blocks], head, cycle)
+            caps = [rng.choice(patterns) for _ in blocks]
+            upper = assemble(schema, caps, head, cycle) if rng.random() < 0.75 else None
+            subsets = [frozenset(e for e in p if rng.random() < 0.5) for p in caps]
+            lower = assemble(schema, subsets, head, cycle)
+            got = schema.class_member(rep, lower, upper)
+            assert (got is None) == (brute_class_member(schema, rep, lower, upper) is None)
+            if got is not None:
+                assert schema.certify(got) and strongly_equivalent(schema, got, rep)
+                assert lower.issubset(got) and (upper is None or got.issubset(upper))
+            if lower.issubset(rep) and (upper is None or rep.issubset(upper)):
+                assert got == rep
+
+    def test_free_agrees_with_unit_blocks(self):
+        unit = PeriodicSumMatroid(UniformMatroid(1, 1))  # the free matroid again
+        rng = random.Random(8)
+
+        def template():
+            d, t = rng.randint(1, 4), rng.randint(0, 6)
+            return TemplateSet(d, [r for r in range(d) if rng.random() < 0.5], t,
+                               [n for n in range(t) if rng.random() < 0.5])
+
+        for _ in range(200):
+            rep, upper = template(), template()
+            lower = template() & upper
+            for bound in (upper, None):
+                free = FREE.class_member(rep, lower, bound)
+                assert (free is None) == (unit.class_member(rep, lower, bound) is None)
+                if free is not None:
+                    assert strongly_equivalent(FREE, free, rep) and lower.issubset(free)
+
+
 class TestSparseComponentGround:
     def test_positions_follow_sorted_order(self):
         from matroid_forge import ExplicitMatroid
@@ -141,13 +211,13 @@ class TestRemovalWitness:
     def test_free_example(self):
         witness = removal_witness(FREE, EVENS, ODDS, (), 3)
         assert witness == {1, 3, 5}
-        assert relative_rank_template(FREE, EVENS, ODDS - TemplateSet.from_finite(witness)) >= 3
+        assert FREE.relative_rank(EVENS, ODDS - TemplateSet.from_finite(witness)) >= 3
 
     def test_periodic_example(self):
         witness = removal_witness(PAIRS, A_ALL, B_ALL, {1}, 2)
         assert witness == {3, 5}
         left = B_ALL - TemplateSet.from_finite(witness)
-        assert relative_rank_template(PAIRS, A_ALL, left) == 2
+        assert PAIRS.relative_rank(A_ALL, left) == 2
 
     def test_zero(self):
         assert removal_witness(FREE, EVENS, ODDS, (), 0) == frozenset()
@@ -187,4 +257,4 @@ class TestRemovalWitness:
             assert witness <= set(outer.members_below(10_000))
             assert not (witness & protected)
             left = outer - TemplateSet.from_finite(witness)
-            assert relative_rank_template(schema, inner, left) >= count
+            assert schema.relative_rank(inner, left) >= count

@@ -17,7 +17,6 @@ from matroid_forge import (
     find_comparable_pair,
     forcing_step,
     make_task,
-    relative_rank_template,
     seed_family,
     strongly_equivalent,
     verify_certificate,
@@ -85,14 +84,19 @@ class TestClaims:
         assert out.status == "claim2-violated" and out.violator == TemplateSet.full()
 
     def test_direct_satisfier_found(self):
-        # the lone class contains evens+{1}, which settles (evens, everything)
-        rep = EVENS.patch(add=[1], remove=[0])
-        task = make_task(FREE, EVENS, TemplateSet.full())
-        out = check_claim_preconditions(FREE, free_family(rep), task)
-        assert out.status == "task-satisfiable-directly"
-        assert strongly_equivalent(FREE, out.satisfier, rep)
-        assert task.lower.issubset(out.satisfier)
-        assert out.satisfier.issubset(task.upper)
+        # the class of evens+{1}-{0} contains evens, which settles (evens,
+        # everything); the class of evens contains (odds < 130) | (evens >= 130)
+        scenarios = [
+            (EVENS.patch(add=[1], remove=[0]), EVENS, TemplateSet.full()),
+            (EVENS, TemplateSet(2, [0], 130), TemplateSet(1, [0], 130, range(1, 130, 2))),
+        ]
+        for rep, lower, upper in scenarios:
+            task = make_task(FREE, lower, upper)
+            out = check_claim_preconditions(FREE, free_family(rep), task)
+            assert out.status == "task-satisfiable-directly"
+            assert strongly_equivalent(FREE, out.satisfier, rep)
+            assert task.lower.issubset(out.satisfier)
+            assert out.satisfier.issubset(task.upper)
 
     def test_incomparable_precondition(self):
         fam = free_family(EVENS, MULT4.patch(add=[1]))
@@ -105,7 +109,7 @@ class TestDenseGain:
         task = make_task(FREE, EMPTY, ODDS)
         q = dense_extend_gain(FREE, Condition(), MULT4, 2, task)
         assert q.ones == {1, 3} and not q.zeros
-        assert relative_rank_template(FREE, TemplateSet.from_finite(q.ones), MULT4) == 2
+        assert FREE.relative_rank(TemplateSet.from_finite(q.ones), MULT4) == 2
 
     def test_level_zero_no_growth(self):
         task = make_task(FREE, EMPTY, ODDS)
@@ -137,7 +141,7 @@ class TestDenseGuard:
         q = dense_extend_guard(PAIRS, Condition(), TemplateSet(2, [0]), 2, task)
         assert q.zeros == {1, 3} and not q.ones
         left = task.upper - TemplateSet.from_finite(q.zeros)
-        assert relative_rank_template(PAIRS, TemplateSet(2, [0]), left) == 2
+        assert PAIRS.relative_rank(TemplateSet(2, [0]), left) == 2
 
     def test_level_zero_no_growth(self):
         task = make_task(PAIRS, EMPTY, TemplateSet(2, [1]))

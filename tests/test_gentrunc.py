@@ -8,6 +8,7 @@ from matroid_forge import (
     FamilyError,
     FreeMatroid,
     PeriodicSumMatroid,
+    SchemaError,
     TemplateSet,
     TruncationFamily,
     UniformMatroid,
@@ -178,17 +179,26 @@ class TestFamilyType:
         assert list(fam) == sorted(fam, key=TemplateSet.sort_key)
 
 
+def odds_below(n):
+    return range(1, n, 2)
+
+
 class TestVerifyFamilyFinitary:
     def test_unmet_task(self):
+        # the second pair needs 65 swaps to trigger [evens] and is still unsettled
         fam = TruncationFamily.build(FREE, [EVENS])
-        out = verify_family_finitary(FREE, fam, [(TemplateSet.empty(), ODDS)])
-        assert out.verdict.ok and out.unmet_tasks == ((TemplateSet.empty(), ODDS),)
-        assert not out.ok
+        for task in [(TemplateSet.empty(), ODDS), (TemplateSet.from_finite(odds_below(130)), ODDS)]:
+            out = verify_family_finitary(FREE, fam, [task])
+            assert out.verdict.ok and out.unmet_tasks == (task,)
+            assert not out.ok
 
     def test_met_task(self):
+        # (odds < 2s) | (evens >= 2s) settles the later pairs after s swaps
         fam = TruncationFamily.build(FREE, [EVENS])
-        out = verify_family_finitary(FREE, fam, [(TemplateSet.empty(), EVENS)])
-        assert out.ok
+        uppers = [EVENS] + [TemplateSet(1, [0], 2 * s, odds_below(2 * s)) for s in (65, 95)]
+        for upper in uppers:
+            out = verify_family_finitary(FREE, fam, [(TemplateSet.empty(), upper)])
+            assert out.ok
 
     def test_met_by_exchange(self):
         # settling (evens∪{1} minus one even, full) requires an exchanged member
@@ -196,6 +206,15 @@ class TestVerifyFamilyFinitary:
         lower = EVENS.patch(add=[1], remove=[0])
         out = verify_family_finitary(FREE, fam, [(lower, TemplateSet.full())])
         assert out.ok
+
+    def test_wrong_class_member_rejected(self):
+        class Misreporting(FreeMatroid):
+            def class_member(self, rep, lower, upper=None):
+                return ODDS  # not in the class of evens
+
+        fam = TruncationFamily.build(FREE, [EVENS])
+        with pytest.raises(SchemaError):
+            verify_family_finitary(Misreporting(), fam, [(TemplateSet.empty(), EVENS)])
 
     def test_comparable_representatives_flagged(self):
         fam = TruncationFamily.build(FREE, [EVENS, TemplateSet(4, [0]).patch(add=[1])])
@@ -210,11 +229,14 @@ class TestVerifyFamilyFinitary:
 
     def test_periodic_task_met_by_parallel_class(self):
         # the class of all first-position elements also contains all
-        # second-position elements (blockwise mutual spanning)
+        # second-position elements (blockwise mutual spanning); the class of
+        # the second-position elements contains {0} | odds - {1}
         pairs = PeriodicSumMatroid(UniformMatroid(1, 2))
-        fam = TruncationFamily.build(pairs, [TemplateSet(2, [0])])
-        out = verify_family_finitary(pairs, fam, [(TemplateSet.empty(), TemplateSet(2, [1]))])
-        assert out.ok
+        for rep, upper in [(TemplateSet(2, [0]), TemplateSet(2, [1])),
+                           (TemplateSet(2, [1]), TemplateSet.from_finite({0}))]:
+            fam = TruncationFamily.build(pairs, [rep])
+            out = verify_family_finitary(pairs, fam, [(TemplateSet.empty(), upper)])
+            assert out.ok
 
     def test_periodic_task_unmet(self):
         pairs = PeriodicSumMatroid(UniformMatroid(1, 2))
