@@ -9,13 +9,14 @@ seed; input files are echoed with a sha256 digest so runs can be replayed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 
-from .core import FiniteMatroid, Verdict, check_base_axioms, fmt
+from .core import FiniteMatroid, Verdict, check_base_axioms, fmt, size_order
 from .equivalence import UNKNOWN, almost_spans, classify_class, strongly_equivalent
 from .errors import ClaimError, MatroidForgeError
 from .files import (
@@ -130,7 +131,13 @@ def _common_flags(parser: argparse.ArgumentParser, trailing: bool) -> None:
                         help="seed for randomized suites")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared.
+
+    Parsing leaves the parser unchanged, so one instance serves every call;
+    `build_parser.__wrapped__()` builds a fresh one.
+    """
     parser = argparse.ArgumentParser(
         prog="matroid-forge",
         description="matroid truncation workbench",
@@ -265,7 +272,7 @@ def _cmd_gentrunc(args, report: Report) -> int:
         families = enumerate_raw(matroid) if args.raw else enumerate_gen_truncations(matroid)
         report.add("families", len(families))
         for i, fam in enumerate(families):
-            members = " ".join(fmt(b) for b in sorted(fam, key=lambda s: (len(s), tuple(sorted(s)))))
+            members = " ".join(fmt(b) for b in sorted(fam, key=size_order))
             report.add(f"family-{i}", members)
         return EXIT_OK
     matroid = _load_finitary(report, args.matroid)
@@ -356,9 +363,14 @@ _HANDLERS = {
 
 
 def dispatch(argv: list[str]) -> tuple[int, Report]:
-    """Route one command line; returns (exit code, report)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Route one command line; returns (exit code, report).
+
+    An argparse usage error raises SystemExit, as `parse_args` does.
+    """
+    return _run(build_parser().parse_args(argv))
+
+
+def _run(args: argparse.Namespace) -> tuple[int, Report]:
     label = args.command + (f" {args.action}" if getattr(args, "action", None) else "")
     report = Report(label, args.seed)
     try:
@@ -376,14 +388,14 @@ def dispatch(argv: list[str]) -> tuple[int, Report]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        parsed = build_parser().parse_args(argv)
-        code, report = dispatch(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse usage errors
         return EXIT_USAGE if exc.code else EXIT_OK
-    rendered = report.to_json() if parsed.json else report.to_text()
+    code, report = _run(args)
+    rendered = report.to_json() if args.json else report.to_text()
     sys.stdout.write(rendered)
-    if parsed.report:
-        Path(parsed.report).write_text(rendered, encoding="utf-8")
+    if args.report:
+        Path(args.report).write_text(rendered, encoding="utf-8")
     return code
 
 

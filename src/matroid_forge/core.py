@@ -2,7 +2,11 @@
 
 Backends: uniform, graphic, linear over GF(p), explicit base lists, plus
 minors and rank-oracle wrappers.  All arithmetic is exact integer work;
-exhaustive loops run over bitmask encodings of the (small) ground set.
+exhaustive loops run over int bitmasks of the (small) ground set, bit i
+standing for the i-th smallest element.  Frozensets appear only at the API
+boundary and in witnesses.  Enumerations and witnesses follow the (size,
+sorted elements) order, which is not the (popcount, mask) order: {1,4}
+comes before {2,3}.
 
 An explicit base list is quarantined: the constructor refuses it unless the
 literal base axioms hold, so every matroid object in the system can be
@@ -13,8 +17,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import BoundError, DependenceError, GroundError, SpecError
 
@@ -33,6 +38,56 @@ def exhaustive_bound(default: int) -> int:
     except ValueError as exc:
         raise SpecError("MATROID_FORGE_MAX_GROUND must be an integer") from exc
     return min(default, value)
+
+
+def check_bound(what: str, size: int, default: int) -> None:
+    """Refuse, before any work starts, an exhaustive pass over more than the declared bound."""
+    bound = exhaustive_bound(default)
+    if size > bound:
+        raise BoundError(f"{what} limited to {bound} elements, got {size}")
+
+
+def size_order(xs: frozenset) -> tuple:
+    """Sort key of the (size, sorted elements) order every enumeration and witness follows."""
+    return len(xs), tuple(sorted(xs))
+
+
+def masks_of_size(n: int, k: int) -> Iterator[int]:
+    """The k-subsets of positions 0..n-1 as masks, in (size, sorted elements) order."""
+    for c in combinations(range(n), k):
+        yield sum(1 << i for i in c)
+
+
+def elements_of(mask: int, order: tuple[int, ...]) -> frozenset:
+    """The elements of `order` at the positions set in `mask`."""
+    return frozenset(e for i, e in enumerate(order) if mask >> i & 1)
+
+
+def growth_masks(members: Iterable[int]) -> dict[int, int]:
+    """Growth mask of every set below some member of a family of masks.
+
+    The keys are exactly the downward closure of the family.  Bit e is set in
+    `grow[t]` iff e is not in t and t + e lies inside some member.  Each set of
+    the closure is expanded once, level by level from the largest members down.
+    """
+    by_size: dict[int, set[int]] = {}
+    for b in members:
+        by_size.setdefault(b.bit_count(), set()).add(b)
+    grow: dict[int, int] = {}
+    level: set[int] = set()
+    for size in range(max(by_size, default=-1), -1, -1):
+        level |= by_size.get(size, set())
+        below: set[int] = set()
+        for s in level:
+            grow.setdefault(s, 0)
+            rest = s
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                grow[s ^ bit] = grow.get(s ^ bit, 0) | bit
+                below.add(s ^ bit)
+        level = below
+    return grow
 
 
 @dataclass(frozen=True)
@@ -73,9 +128,11 @@ def fmt(value) -> str:
 class FiniteMatroid:
     """Finite matroid with an exact rank oracle.
 
-    Subclasses implement `_rank_of`; everything else (independence, relative
-    rank, span, minors, enumeration) is derived.  Instances are immutable
-    after construction and every operation is a pure function of its inputs.
+    Subclasses implement `_rank_of` on a bitmask over the sorted ground set
+    (bit i is the i-th smallest element); everything else (independence,
+    relative rank, span, minors, enumeration) is derived.  Instances are
+    immutable after construction and every operation is a pure function of
+    its inputs.
     """
 
     kind = "abstract"
@@ -90,12 +147,13 @@ class FiniteMatroid:
         self._pos = {e: i for i, e in enumerate(self._order)}
         self._rank_cache: dict[int, int] = {}
         self._span_cache: dict[int, int] = {}
+        self._indep_masks: tuple[int, ...] | None = None
         self._indep_cache: tuple[frozenset, ...] | None = None
         self._bases_cache: tuple[frozenset, ...] | None = None
 
     # -- backend hook ------------------------------------------------------
 
-    def _rank_of(self, xs: frozenset) -> int:
+    def _rank_of(self, mask: int) -> int:
         raise NotImplementedError
 
     # -- bitmask helpers -----------------------------------------------------
@@ -107,14 +165,17 @@ class FiniteMatroid:
         return m
 
     def set_of(self, mask: int) -> frozenset:
-        return frozenset(e for i, e in enumerate(self._order) if mask >> i & 1)
+        return elements_of(mask, self._order)
 
     def rank_mask(self, mask: int) -> int:
         cached = self._rank_cache.get(mask)
         if cached is None:
-            cached = self._rank_of(self.set_of(mask))
+            cached = self._rank_of(mask)
             self._rank_cache[mask] = cached
         return cached
+
+    def independent_mask(self, mask: int) -> bool:
+        return self.rank_mask(mask) == mask.bit_count()
 
     def span_mask(self, mask: int) -> int:
         """Bitmask of all elements spanned by the given set."""
@@ -147,8 +208,7 @@ class FiniteMatroid:
         return self.rank_mask(self.mask_of(self._subset(xs)))
 
     def is_independent(self, xs: Iterable[int]) -> bool:
-        s = self._subset(xs)
-        return self.rank_mask(self.mask_of(s)) == len(s)
+        return self.independent_mask(self.mask_of(self._subset(xs)))
 
     def relative_rank(self, xs: Iterable[int], ys: Iterable[int]) -> int:
         """Rank of X over Y: the rank of X - Y once Y is contracted.
@@ -191,39 +251,37 @@ class FiniteMatroid:
 
     # -- enumeration ---------------------------------------------------------
 
+    def independent_masks(self) -> tuple[int, ...]:
+        """All independent sets as masks, in (size, sorted elements) order.  Bound-guarded.
+
+        Each level grows from the one below by adding a position above the
+        set's highest, which keeps every level in sorted-elements order.
+        """
+        if self._indep_masks is None:
+            check_bound("independent-set enumeration", len(self.ground), ENUMERATION_MAX_GROUND)
+            n = len(self._order)
+            found, level = [0], [0]
+            while level:
+                level = [s | 1 << i for s in level for i in range(s.bit_length(), n)
+                         if self.independent_mask(s | 1 << i)]
+                found += level
+            self._indep_masks = tuple(found)
+        return self._indep_masks
+
     def independent_sets(self) -> tuple[frozenset, ...]:
         """All independent sets, sorted by (size, elements).  Bound-guarded."""
         if self._indep_cache is None:
-            bound = exhaustive_bound(ENUMERATION_MAX_GROUND)
-            if len(self.ground) > bound:
-                raise BoundError(
-                    f"independent-set enumeration limited to {bound} elements, got {len(self.ground)}"
-                )
-            found: list[frozenset] = []
-            order = self._order
-
-            def grow(current: frozenset, start: int) -> None:
-                found.append(current)
-                for i in range(start, len(order)):
-                    nxt = current | {order[i]}
-                    if self.is_independent(nxt):
-                        grow(nxt, i + 1)
-
-            grow(frozenset(), 0)
-            found.sort(key=lambda s: (len(s), tuple(sorted(s))))
-            self._indep_cache = tuple(found)
+            self._indep_cache = tuple(map(self.set_of, self.independent_masks()))
         return self._indep_cache
 
     def bases(self) -> tuple[frozenset, ...]:
+        """All bases in sorted-elements order.  Bound-guarded."""
         if self._bases_cache is None:
-            r = self.full_rank
-            out = [
-                frozenset(c)
-                for c in combinations(self._order, r)
-                if self.is_independent(frozenset(c))
-            ]
-            out.sort(key=lambda s: tuple(sorted(s)))
-            self._bases_cache = tuple(out)
+            check_bound("base enumeration", len(self.ground), ENUMERATION_MAX_GROUND)
+            self._bases_cache = tuple(
+                self.set_of(m) for m in masks_of_size(len(self._order), self.full_rank)
+                if self.independent_mask(m)
+            )
         return self._bases_cache
 
     def bases_set(self) -> frozenset:
@@ -246,11 +304,11 @@ class UniformMatroid(FiniteMatroid):
         self.k = k
         self.n = n
 
-    def _rank_of(self, xs: frozenset) -> int:
-        return min(self.k, len(xs))
+    def _rank_of(self, mask: int) -> int:
+        return min(self.k, mask.bit_count())
 
-    def is_independent(self, xs: Iterable[int]) -> bool:
-        return len(self._subset(xs)) <= self.k
+    def independent_mask(self, mask: int) -> bool:
+        return mask.bit_count() <= self.k
 
 
 class GraphicMatroid(FiniteMatroid):
@@ -263,7 +321,7 @@ class GraphicMatroid(FiniteMatroid):
         super().__init__(range(1, len(edge_list) + 1), name)
         self.edges = edge_list
 
-    def _rank_of(self, xs: frozenset) -> int:
+    def _rank_of(self, mask: int) -> int:
         parent: dict[str, str] = {}
 
         def find(v: str) -> str:
@@ -273,8 +331,9 @@ class GraphicMatroid(FiniteMatroid):
             return v
 
         rank = 0
-        for e in xs:
-            u, v = self.edges[e - 1]
+        for i, (u, v) in enumerate(self.edges):
+            if not mask >> i & 1:
+                continue
             parent.setdefault(u, u)
             parent.setdefault(v, v)
             ru, rv = find(u), find(v)
@@ -313,13 +372,12 @@ class LinearMatroid(FiniteMatroid):
         self.prime = prime
         self.rows = mat
 
-    def _rank_of(self, xs: frozenset) -> int:
-        cols = sorted(xs)
-        if not cols:
+    def _rank_of(self, mask: int) -> int:
+        if not mask:
             return 0
         p = self.prime
         # work on the transpose: one row per selected column
-        work = [[self.rows[i][c - 1] for i in range(len(self.rows))] for c in cols]
+        work = [[row[c] for row in self.rows] for c in range(len(self.rows[0])) if mask >> c & 1]
         rank = 0
         width = len(self.rows)
         for col in range(width):
@@ -358,13 +416,18 @@ class ExplicitMatroid(FiniteMatroid):
             if not verdict:
                 raise SpecError(f"base family rejected: {verdict}")
         self._bases = fam
+        self._base_masks = tuple(map(self.mask_of, fam))
 
-    def _rank_of(self, xs: frozenset) -> int:
-        return max(len(xs & b) for b in self._bases)
+    def _rank_of(self, mask: int) -> int:
+        return max((mask & b).bit_count() for b in self._base_masks)
 
-    def is_independent(self, xs: Iterable[int]) -> bool:
-        s = self._subset(xs)
-        return any(s <= b for b in self._bases)
+    @cached_property
+    def _independent(self) -> frozenset[int]:
+        """Masks of the independent sets: the downward closure of the bases."""
+        return frozenset(growth_masks(self._base_masks))
+
+    def independent_mask(self, mask: int) -> bool:
+        return mask in self._independent
 
     def bases(self) -> tuple[frozenset, ...]:
         if self._bases_cache is None:
@@ -382,8 +445,8 @@ class MinorMatroid(FiniteMatroid):
         self.contracted = contracted
         self._base_rank = parent.rank(contracted)
 
-    def _rank_of(self, xs: frozenset) -> int:
-        return self.parent.rank(xs | self.contracted) - self._base_rank
+    def _rank_of(self, mask: int) -> int:
+        return self.parent.rank(self.set_of(mask) | self.contracted) - self._base_rank
 
 
 class OracleMatroid(FiniteMatroid):
@@ -395,47 +458,68 @@ class OracleMatroid(FiniteMatroid):
         super().__init__(ground, name)
         self._fn = rank_fn
 
-    def _rank_of(self, xs: frozenset) -> int:
-        return self._fn(xs)
+    def _rank_of(self, mask: int) -> int:
+        return self._fn(self.set_of(mask))
 
 
 def check_base_axioms(ground: Iterable[int], family: Iterable[Iterable[int]]) -> Verdict:
     """Literal check of the base axioms for a finite set family.
 
-    Verifies non-emptiness, the pairwise exchange axiom, and — for every
-    subset X of the ground set — that the maximal traces {X & B} are cofinal
-    among all traces.  On a finite ground the trace condition cannot fail,
-    but the contract is to check it as written.  Violations carry a witness
-    that replays the failure.
+    Verifies non-emptiness (B1), the pairwise exchange axiom (B2), and - for
+    every subset X of the ground set - that the maximal traces X & B are
+    cofinal among all traces (BM).  On a finite ground BM cannot fail, but the
+    contract is to check it as written: every X is visited and every trace of
+    X is held against the maximal traces of X.  Violations carry a witness
+    that replays the failure.  Members are visited in (size, sorted elements)
+    order, so the first violation found is the same whatever the input order.
+
+    Sets are int masks over the sorted ground.  Only the test of maximality
+    is not the textbook one: a trace t = X & B is maximal among the traces of
+    X iff no e in X - t has t + e inside some member, i.e. iff
+    `grow[t] & X == 0` for the growth masks of the family (`growth_masks`).
+    Proof, valid for any family: if t < X & B' then every e in (X & B') - t
+    has t + e inside B'; conversely, if t + e lies inside B' with e in X - t,
+    then X & B' contains t + e and so strictly contains t.
     """
     g = frozenset(int(e) for e in ground)
-    bound = exhaustive_bound(AXIOM_CHECK_MAX_GROUND)
-    if len(g) > bound:
-        raise BoundError(f"axiom check limited to {bound} elements, got {len(g)}")
-    fam = sorted(
-        (frozenset(int(e) for e in b) for b in family),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
-    for b in fam:
+    check_bound("axiom check", len(g), AXIOM_CHECK_MAX_GROUND)
+    members = sorted({frozenset(int(e) for e in b) for b in family}, key=size_order)
+    for b in members:
         if not b <= g:
             raise GroundError(f"family member {fmt(b)} lies outside the ground set")
-    if not fam:
+    if not members:
         return Verdict.violation("B1")
-    fset = set(fam)
-    for b0 in fam:
-        for b1 in fam:
-            only_b1 = sorted(b1 - b0)
-            for x in sorted(b0 - b1):
-                if not any((b0 - {x}) | {y} in fset for y in only_b1):
-                    return Verdict.violation("B2", b0, b1, x)
-    order = sorted(g)
-    for mask in range(1 << len(order)):
-        x = frozenset(e for i, e in enumerate(order) if mask >> i & 1)
-        traces = {x & b for b in fam}
-        maximal = [t for t in traces if not any(t < s for s in traces)]
+    order = tuple(sorted(g))
+    pos = {e: i for i, e in enumerate(order)}
+    masks = [sum(1 << pos[e] for e in b) for b in members]
+
+    # B2: for x in b0 - b1 some y in b1 - b0 has b0 - x + y in the family;
+    # up[d] holds every y with d + y a member
+    up: dict[int, int] = {}
+    for b in masks:
+        rest = b
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            up[b ^ bit] = up.get(b ^ bit, 0) | bit
+    for b0, m0 in zip(members, masks):
+        for b1, m1 in zip(members, masks):
+            only_b1 = m1 & ~m0
+            missing = m0 & ~m1
+            while missing:
+                x = missing & -missing
+                missing ^= x
+                if not up[m0 ^ x] & only_b1:
+                    return Verdict.violation("B2", b0, b1, order[x.bit_length() - 1])
+
+    grow = growth_masks(masks)
+    for x in range(1 << len(order)):
+        traces = {x & b for b in masks}
+        maximal = [t for t in traces if not grow[t] & x]
         for t in traces:
-            if not any(t <= s for s in maximal):
-                return Verdict.violation("BM", x, t)
+            # a maximal trace lies below itself; any other needs a maximal one above it
+            if grow[t] & x and not any(t | s == s for s in maximal):
+                return Verdict.violation("BM", elements_of(x, order), elements_of(t, order))
     return Verdict.passed()
 
 

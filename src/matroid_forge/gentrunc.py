@@ -18,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import FiniteMatroid, Verdict, check_base_axioms, exhaustive_bound
+from .core import (
+    FiniteMatroid,
+    Verdict,
+    check_base_axioms,
+    check_bound,
+    growth_masks,
+    size_order,
+)
 from .equivalence import find_comparable_pair, strongly_equivalent
 from .errors import BoundError, FamilyError, SchemaError, TaskError
 from .finitary import FinitaryMatroid
@@ -31,7 +38,7 @@ RAW_ENUM_MAX_INDEP = 16
 
 def _sorted_family(matroid: FiniteMatroid, family: Iterable[Iterable[int]]) -> list[frozenset]:
     fam = {matroid._subset(b, "family member") for b in family}
-    return sorted(fam, key=lambda s: (len(s), tuple(sorted(s))))
+    return sorted(fam, key=size_order)
 
 
 def verify_family(matroid: FiniteMatroid, family: Iterable[Iterable[int]]) -> Verdict:
@@ -40,61 +47,53 @@ def verify_family(matroid: FiniteMatroid, family: Iterable[Iterable[int]]) -> Ve
     Violations carry (condition tag, witness tuple) and replay: condition 2
     witnesses are (member, missing same-size independent), condition 3
     witnesses are (member, spanned member, proper subset), condition 4
-    witnesses are the unsettled nested pair (I, J).
+    witnesses are the unsettled nested pair (I, J).  The loops run on masks;
+    members and witnesses are frozensets.
     """
-    bound = exhaustive_bound(VERIFY_FAMILY_MAX_GROUND)
-    if len(matroid.ground) > bound:
-        raise BoundError(f"family verification limited to {bound} elements")
+    check_bound("family verification", len(matroid.ground), VERIFY_FAMILY_MAX_GROUND)
     fam = _sorted_family(matroid, family)
 
     if not fam:
         return Verdict.violation("1")
-    for b in fam:
-        if not matroid.is_independent(b):
+    masks = [matroid.mask_of(b) for b in fam]
+    for b, m in zip(fam, masks):
+        if not matroid.independent_mask(m):
             return Verdict.violation("1", b)
 
-    indep = matroid.independent_sets()
-    by_size: dict[int, list[frozenset]] = {}
-    for s in indep:
-        by_size.setdefault(len(s), []).append(s)
-    fam_set = set(fam)
+    indep = matroid.independent_masks()
 
     # no proper subset of a member may span a member; spanning is monotone,
     # so checking the maximal proper subsets suffices
-    fam_masks = [matroid.mask_of(b) for b in fam]
-    for b in fam:
-        for x in sorted(b):
-            sub = b - {x}
-            span = matroid.span_mask(matroid.mask_of(sub))
-            for other, omask in zip(fam, fam_masks):
-                if omask & ~span == 0:
-                    return Verdict.violation("3", b, other, sub)
+    for b, m in zip(fam, masks):
+        rest = m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            span = matroid.span_mask(m ^ bit)
+            for other, om in zip(fam, masks):
+                if om & ~span == 0:
+                    return Verdict.violation("3", b, other, matroid.set_of(m ^ bit))
 
     # balanced finite exchange: for finite sets, |B-B'| = |B'-B| means equal size
-    for b in fam:
-        for other in by_size.get(len(b), ()):
-            if other not in fam_set:
-                return Verdict.violation("2", b, other)
+    by_size: dict[int, list[int]] = {}
+    for s in indep:
+        by_size.setdefault(s.bit_count(), []).append(s)
+    member_set = set(masks)
+    for b, m in zip(fam, masks):
+        for other in by_size[m.bit_count()]:
+            if other not in member_set:
+                return Verdict.violation("2", b, matroid.set_of(other))
 
     # nested-pair condition, exhaustive over independent I <= J
-    has_super: dict[int, bool] = {}
-
-    def member_contains(mask: int) -> bool:
-        hit = has_super.get(mask)
-        if hit is None:
-            hit = any(mask & ~fm == 0 for fm in fam_masks)
-            has_super[mask] = hit
-        return hit
-
-    for big in indep:
-        jmask = matroid.mask_of(big)
-        if any(fm | jmask == fm for fm in fam_masks):
+    below_member = growth_masks(masks)  # keys: the sets inside some member
+    for jmask in indep:
+        if jmask in below_member:
             continue  # some member contains J, settling every I below it
-        inside = [fm for fm in fam_masks if fm & ~jmask == 0]
+        inside = [fm for fm in masks if fm & ~jmask == 0]
         sub = jmask
         while True:
-            if member_contains(sub) and not any(fm & sub == sub for fm in inside):
-                return Verdict.violation("4", matroid.set_of(sub), big)
+            if sub in below_member and not any(fm & sub == sub for fm in inside):
+                return Verdict.violation("4", matroid.set_of(sub), matroid.set_of(jmask))
             if sub == 0:
                 break
             sub = (sub - 1) & jmask
@@ -125,7 +124,7 @@ def verify_is_gen_truncation(matroid: FiniteMatroid, candidate: FiniteMatroid) -
 
 
 def family_sort_key(family: frozenset):
-    return tuple(sorted((len(b), tuple(sorted(b))) for b in family))
+    return tuple(sorted(map(size_order, family)))
 
 
 def enumerate_gen_truncations(matroid: FiniteMatroid) -> list[frozenset]:
@@ -137,9 +136,7 @@ def enumerate_gen_truncations(matroid: FiniteMatroid) -> list[frozenset]:
     by `verify_family` and by the literal base axioms.  `enumerate_raw` is
     the shortcut-free oracle this reduction is tested against.
     """
-    bound = exhaustive_bound(LEVEL_ENUM_MAX_GROUND)
-    if len(matroid.ground) > bound:
-        raise BoundError(f"level enumeration limited to {bound} elements")
+    check_bound("level enumeration", len(matroid.ground), LEVEL_ENUM_MAX_GROUND)
     r = matroid.full_rank
     levels: list[frozenset] = []
     for size in range(r + 1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import ExplicitMatroid, FiniteMatroid
+from .core import ENUMERATION_MAX_GROUND, ExplicitMatroid, FiniteMatroid, check_bound, masks_of_size
 from .errors import GroundError, SpecError
 
 
@@ -48,13 +48,14 @@ class TruncationLevel:
 
 
 def truncate_to(matroid: FiniteMatroid, size: int) -> FiniteMatroid:
-    """Matroid whose bases are all independent sets of the given size."""
+    """Matroid whose bases are all independent sets of the given size.  Bound-guarded."""
+    check_bound("truncation", len(matroid.ground), ENUMERATION_MAX_GROUND)
     if not 0 <= size <= matroid.full_rank:
         raise SpecError(f"truncation size {size} not in [0, {matroid.full_rank}]")
     bases = [
-        frozenset(c)
-        for c in combinations(sorted(matroid.ground), size)
-        if matroid.is_independent(frozenset(c))
+        matroid.set_of(m)
+        for m in masks_of_size(len(matroid.ground), size)
+        if matroid.independent_mask(m)
     ]
     # truncation of a matroid is a matroid, so the quarantine check is skipped
     return ExplicitMatroid(matroid.ground, bases, name=f"{matroid.name}~{size}", _checked=True)
@@ -90,13 +91,19 @@ def apply_level(matroid: FiniteMatroid, level: TruncationLevel) -> FiniteMatroid
 def classify_truncation(matroid: FiniteMatroid, candidate: FiniteMatroid) -> TruncationLevel | None:
     """The unique level at which `candidate` is a truncation of `matroid`, if any.
 
-    Full-rank matches report the trivial level.
+    Full-rank matches report the trivial level.  A truncation's bases all
+    have its size, so only the size of the candidate's bases is tried.
+    Bound-guarded.
     """
     if matroid.ground != candidate.ground:
         raise GroundError("classification requires a common ground set")
+    check_bound("truncation classification", len(matroid.ground), ENUMERATION_MAX_GROUND)
     target = candidate.bases_set()
+    sizes = {len(b) for b in target}
+    if len(sizes) != 1:
+        return None
+    size = sizes.pop()
     r = matroid.full_rank
-    for size in range(r + 1):
-        if truncate_to(matroid, size).bases_set() == target:
-            return TruncationLevel(None if size == r else size)
+    if size <= r and truncate_to(matroid, size).bases_set() == target:
+        return TruncationLevel(None if size == r else size)
     return None

@@ -9,6 +9,7 @@ by the randomized rank properties.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -99,6 +100,40 @@ def corpus_small(corpus_unique):
 @pytest.fixture(scope="session")
 def corpus_enumerable(corpus_unique):
     return [(n, m) for n, m in corpus_unique if len(m.independent_sets()) <= 16]
+
+
+def _bridge_families(name, m):
+    """The families acceptance criterion 1 runs on one corpus matroid.
+
+    Every subset of the independent sets when there are at most 16 of them;
+    otherwise every union of size levels, single-set perturbations of those,
+    and 120 seeded random families.  They include every family criterion 2
+    enumerates: the level unions, and each subset the raw oracle tries.
+    """
+    indep = m.independent_sets()
+    if len(indep) <= 16:
+        for mask in range(1 << len(indep)):
+            yield [indep[i] for i in range(len(indep)) if mask >> i & 1]
+        return
+    rng = random.Random(f"bridge-{name}")
+    levels = [[s for s in indep if len(s) == k] for k in range(m.full_rank + 1)]
+    for lmask in range(1, 1 << len(levels)):
+        union = [s for i in range(len(levels)) if lmask >> i & 1 for s in levels[i]]
+        yield union
+        outside = [s for s in indep if s not in set(union)]
+        if outside:
+            yield union + [outside[0]]
+        if union:
+            yield union[1:]
+    for _ in range(120):
+        p = rng.uniform(0.05, 0.6)
+        yield [s for s in indep if rng.random() < p]
+
+
+@pytest.fixture(scope="session")
+def bridge_families():
+    """(name, matroid) -> iterator over the families of acceptance criterion 1."""
+    return _bridge_families
 
 
 @pytest.fixture(scope="session")

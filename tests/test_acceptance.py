@@ -52,7 +52,7 @@ def _bridge_holds(matroid, family) -> None:
     assert ours == other, (matroid.name, sorted(map(sorted, family)))
 
 
-def test_criterion_1_family_definition_bridge(corpus_unique):
+def test_criterion_1_family_definition_bridge(corpus_unique, bridge_families):
     """Families pass verify_family iff they pass base axioms + the definition.
 
     Exhaustive over all subsets of the independent sets whenever there are at
@@ -61,30 +61,8 @@ def test_criterion_1_family_definition_bridge(corpus_unique):
     sweep of K4 would be 2^38 families).
     """
     for name, m in corpus_unique:
-        indep = m.independent_sets()
-        if len(indep) <= 16:
-            for mask in range(1 << len(indep)):
-                fam = [indep[i] for i in range(len(indep)) if mask >> i & 1]
-                _bridge_holds(m, fam)
-        else:
-            rng = random.Random(f"bridge-{name}")
-            levels = [
-                [s for s in indep if len(s) == k] for k in range(m.full_rank + 1)
-            ]
-            samples = []
-            for lmask in range(1, 1 << len(levels)):
-                union = [s for i in range(len(levels)) if lmask >> i & 1 for s in levels[i]]
-                samples.append(union)
-                outside = [s for s in indep if s not in set(union)]
-                if outside:
-                    samples.append(union + [outside[0]])
-                if union:
-                    samples.append(union[1:])
-            for _ in range(120):
-                p = rng.uniform(0.05, 0.6)
-                samples.append([s for s in indep if rng.random() < p])
-            for fam in samples:
-                _bridge_holds(m, fam)
+        for fam in bridge_families(name, m):
+            _bridge_holds(m, fam)
     _passed(1, "family/definition bridge")
 
 

@@ -5,8 +5,22 @@ import threading
 
 import pytest
 
-from matroid_forge import BoundError, GraphicMatroid, UniformMatroid, check_base_axioms
+from matroid_forge import (
+    BoundError,
+    ExplicitMatroid,
+    GraphicMatroid,
+    UniformMatroid,
+    check_base_axioms,
+    classify_truncation,
+    truncate_to,
+)
+from matroid_forge.cli import EXIT_OK, EXIT_USAGE, dispatch
 from matroid_forge.core import exhaustive_bound
+
+# K5 plus a pendant path of three edges: a graphic matroid on 13 elements
+K5_PLUS_PATH = [(u, v) for i, u in enumerate("abcde") for v in "abcde"[i + 1:]] + [
+    ("e", "f"), ("f", "g"), ("g", "h")
+]
 
 
 class TestBoundOverride:
@@ -23,6 +37,56 @@ class TestBoundOverride:
         monkeypatch.setenv("MATROID_FORGE_MAX_GROUND", "8")
         with pytest.raises(BoundError):
             check_base_axioms(ground, fam)
+
+
+class TestEnumerationBounds:
+    """Enumerating paths refuse a ground set past the declared bound before any work."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        texts = {
+            "u13": "matroid u13\nkind uniform\nparams k=6 n=13\n",
+            "g13": "matroid g13\nkind graphic\n"
+                   + "".join(f"edge {u} {v}\n" for u, v in K5_PLUS_PATH),
+            "u9": "matroid u9\nkind uniform\nparams k=4 n=9\n",
+        }
+        for name, text in texts.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+        return {name: str(tmp_path / f"{name}.txt") for name in texts}
+
+    def commands(self, path):
+        return [
+            ["truncate", "--level", "2", "--matroid", path],
+            ["truncate", "--level", "-1", "--matroid", path],
+            ["classify-truncation", "--matroid", path, "--candidate", path],
+            ["axioms", "check", "--matroid", path],
+        ]
+
+    def test_thirteen_elements_exit_two(self, files):
+        for name in ("u13", "g13"):
+            for argv in self.commands(files[name]):
+                code, report = dispatch(argv)
+                errors = [v for k, v in report.rows if k == "error"]
+                assert code == EXIT_USAGE, (name, argv)
+                assert errors and "limited to 12 elements, got 13" in errors[0], (name, argv)
+
+    def test_override_lowers_bound(self, files, monkeypatch):
+        for argv in self.commands(files["u9"]):
+            assert dispatch(argv)[0] == EXIT_OK, argv
+        monkeypatch.setenv("MATROID_FORGE_MAX_GROUND", "8")
+        for argv in self.commands(files["u9"]):
+            assert dispatch(argv)[0] == EXIT_USAGE, argv
+
+    def test_library_guards(self, monkeypatch):
+        u9 = UniformMatroid(4, 9)
+        explicit = ExplicitMatroid(u9.ground, u9.bases(), _checked=True)
+        monkeypatch.setenv("MATROID_FORGE_MAX_GROUND", "8")
+        for call in (UniformMatroid(4, 9).bases, lambda: truncate_to(u9, 2),
+                     lambda: classify_truncation(u9, explicit)):
+            with pytest.raises(BoundError):
+                call()
+        # an explicit base list is not enumerated, so it is not guarded
+        assert len(explicit.bases()) == 126
 
 
 def test_concurrent_queries_agree():

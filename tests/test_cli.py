@@ -3,7 +3,7 @@ import json
 import pytest
 
 from matroid_forge import UniformMatroid
-from matroid_forge.cli import EXIT_UNKNOWN, EXIT_USAGE, dispatch, main
+from matroid_forge.cli import EXIT_UNKNOWN, EXIT_USAGE, _run, build_parser, dispatch, main
 from matroid_forge.equivalence import UNKNOWN
 from matroid_forge.cli import _tri_exit
 from matroid_forge.files import parse_matroid_text
@@ -218,3 +218,30 @@ class TestReports:
         _, report = dispatch(["axioms", "check", "--matroid", str(workdir / "ex.txt")])
         inputs = report_rows(report)["input"]
         assert len(inputs) == 1 and "sha256=" in inputs[0]
+
+
+class TestParserCache:
+    def test_cached_parser_matches_fresh(self, workdir, capsys):
+        u34, ex, free = (str(workdir / f) for f in ("u34.txt", "ex.txt", "free.txt"))
+        runs = [
+            ["--json", "axioms", "check", "--matroid", ex],
+            ["gentrunc", "enumerate", "--matroid", u34, "--seed", "5"],
+            ["--seed", "3", "equiv", "strong", "--matroid", free,
+             "--left", "set 0 1", "--right", "set 1 2", "--json"],
+            ["truncate", "--level", "-1", "--matroid", u34],
+            ["--json", "--seed", "7", "classify-truncation", "--matroid", u34, "--candidate", ex],
+            ["selftest", "lemmas", "--seed", "2"],
+        ]
+        for _ in range(2):
+            for argv in runs:
+                fresh = build_parser.__wrapped__().parse_args(argv)
+                assert vars(build_parser().parse_args(argv)) == vars(fresh)
+                code, report = dispatch(argv)
+                want_code, want = _run(fresh)
+                assert (code, report.rows) == (want_code, want.rows), argv
+            # a usage error in between leaves the shared parser intact
+            assert main(["equiv", "classify", "--matroid", free, "--set", "evens",
+                         "--fuel", "256"]) == EXIT_USAGE
+        assert report_rows(dispatch(runs[2])[1])["seed"] == ["3"]
+        assert build_parser() is build_parser()
+        capsys.readouterr()

@@ -1,0 +1,236 @@
+"""Differential tests: the bitmask finite kernel against the frozenset code it replaced.
+
+`reference_check_base_axioms`, `reference_verify_family` and
+`reference_independent_sets` are the frozenset implementations the kernel
+had before it moved onto int masks, kept here unchanged as oracles.  The
+kernel must reproduce them exactly: the same verdict, tag and witness, and
+the same enumeration order.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from matroid_forge import (
+    UniformMatroid,
+    Verdict,
+    check_base_axioms,
+    truncate_to,
+    verify_family,
+)
+from matroid_forge.core import AXIOM_CHECK_MAX_GROUND, exhaustive_bound, fmt, growth_masks
+from matroid_forge.errors import BoundError, GroundError
+from matroid_forge.gentrunc import VERIFY_FAMILY_MAX_GROUND
+
+
+def reference_check_base_axioms(ground, family) -> Verdict:
+    g = frozenset(int(e) for e in ground)
+    bound = exhaustive_bound(AXIOM_CHECK_MAX_GROUND)
+    if len(g) > bound:
+        raise BoundError(f"axiom check limited to {bound} elements, got {len(g)}")
+    fam = sorted(
+        (frozenset(int(e) for e in b) for b in family),
+        key=lambda s: (len(s), tuple(sorted(s))),
+    )
+    for b in fam:
+        if not b <= g:
+            raise GroundError(f"family member {fmt(b)} lies outside the ground set")
+    if not fam:
+        return Verdict.violation("B1")
+    fset = set(fam)
+    for b0 in fam:
+        for b1 in fam:
+            only_b1 = sorted(b1 - b0)
+            for x in sorted(b0 - b1):
+                if not any((b0 - {x}) | {y} in fset for y in only_b1):
+                    return Verdict.violation("B2", b0, b1, x)
+    order = sorted(g)
+    for mask in range(1 << len(order)):
+        x = frozenset(e for i, e in enumerate(order) if mask >> i & 1)
+        traces = {x & b for b in fam}
+        maximal = [t for t in traces if not any(t < s for s in traces)]
+        for t in traces:
+            if not any(t <= s for s in maximal):
+                return Verdict.violation("BM", x, t)
+    return Verdict.passed()
+
+
+def reference_independent_sets(matroid) -> tuple[frozenset, ...]:
+    found: list[frozenset] = []
+    order = sorted(matroid.ground)
+
+    def grow(current: frozenset, start: int) -> None:
+        found.append(current)
+        for i in range(start, len(order)):
+            nxt = current | {order[i]}
+            if matroid.is_independent(nxt):
+                grow(nxt, i + 1)
+
+    grow(frozenset(), 0)
+    found.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    return tuple(found)
+
+
+def reference_verify_family(matroid, family) -> Verdict:
+    bound = exhaustive_bound(VERIFY_FAMILY_MAX_GROUND)
+    if len(matroid.ground) > bound:
+        raise BoundError(f"family verification limited to {bound} elements")
+    fam = sorted({matroid._subset(b, "family member") for b in family},
+                 key=lambda s: (len(s), tuple(sorted(s))))
+    if not fam:
+        return Verdict.violation("1")
+    for b in fam:
+        if not matroid.is_independent(b):
+            return Verdict.violation("1", b)
+    indep = matroid.independent_sets()
+    by_size: dict[int, list[frozenset]] = {}
+    for s in indep:
+        by_size.setdefault(len(s), []).append(s)
+    fam_set = set(fam)
+    fam_masks = [matroid.mask_of(b) for b in fam]
+    for b in fam:
+        for x in sorted(b):
+            sub = b - {x}
+            span = matroid.span_mask(matroid.mask_of(sub))
+            for other, omask in zip(fam, fam_masks):
+                if omask & ~span == 0:
+                    return Verdict.violation("3", b, other, sub)
+    for b in fam:
+        for other in by_size.get(len(b), ()):
+            if other not in fam_set:
+                return Verdict.violation("2", b, other)
+    has_super: dict[int, bool] = {}
+
+    def member_contains(mask: int) -> bool:
+        hit = has_super.get(mask)
+        if hit is None:
+            hit = any(mask & ~fm == 0 for fm in fam_masks)
+            has_super[mask] = hit
+        return hit
+
+    for big in indep:
+        jmask = matroid.mask_of(big)
+        if any(fm | jmask == fm for fm in fam_masks):
+            continue
+        inside = [fm for fm in fam_masks if fm & ~jmask == 0]
+        sub = jmask
+        while True:
+            if member_contains(sub) and not any(fm & sub == sub for fm in inside):
+                return Verdict.violation("4", matroid.set_of(sub), big)
+            if sub == 0:
+                break
+            sub = (sub - 1) & jmask
+    return Verdict.passed()
+
+
+def same(got: Verdict, want: Verdict) -> bool:
+    return (got.ok, got.tag, got.witness) == (want.ok, want.tag, want.witness)
+
+
+def perturbations(m):
+    """The base family, the empty family (B1), and every single-set change of
+    the bases: one base dropped, or one independent non-base added."""
+    bases = list(m.bases())
+    yield bases
+    yield []
+    for b in bases:
+        yield [c for c in bases if c != b]
+    for s in m.independent_sets():
+        if s not in bases:
+            yield bases + [s]
+
+
+def wide_families(corpus_wide):
+    """(name, matroid, family): the perturbations of each size level with at
+    most 40 sets of the 7-10 element matroids."""
+    for name, m in corpus_wide:
+        for k in range(m.full_rank + 1):
+            level = truncate_to(m, k)
+            if len(level.bases()) <= 40:
+                for fam in perturbations(level):
+                    yield name, m, fam
+
+
+class TestAxiomCheck:
+    def test_bridge_families(self, corpus_unique, bridge_families):
+        for name, m in corpus_unique:
+            for fam in bridge_families(name, m):
+                want = reference_check_base_axioms(m.ground, fam)
+                assert same(check_base_axioms(m.ground, fam), want), (name, fam)
+
+    def test_perturbations_hit_b1_and_b2(self, corpus_unique):
+        tags = set()
+        for name, m in corpus_unique:
+            for fam in perturbations(m):
+                want = reference_check_base_axioms(m.ground, fam)
+                assert same(check_base_axioms(m.ground, fam), want), (name, fam)
+                tags.add(want.tag)
+        assert {"B1", "B2"} <= tags
+
+    def test_wide_grounds(self, corpus_wide):
+        tags = set()
+        for name, m, fam in wide_families(corpus_wide):
+            want = reference_check_base_axioms(m.ground, fam)
+            assert same(check_base_axioms(m.ground, fam), want), (name, fam)
+            tags.add(want.tag)
+        assert {None, "B1", "B2"} <= tags
+
+    def test_input_order_and_duplicates_ignored(self):
+        fam = [{2, 3}, {1, 2}, {1}, {2, 3}]
+        want = reference_check_base_axioms({1, 2, 3}, fam)
+        assert want.tag == "B2"
+        assert same(check_base_axioms([3, 1, 2], reversed(fam)), want)
+
+    def test_errors_match(self):
+        for ground, fam, error in (
+            (range(13), [set(range(13))], BoundError),
+            ({1, 2}, [{1}, {3}, {2, 4}], GroundError),
+        ):
+            with pytest.raises(error) as want:
+                reference_check_base_axioms(ground, fam)
+            with pytest.raises(error) as got:
+                check_base_axioms(ground, fam)
+            if error is GroundError:
+                assert str(got.value) == str(want.value)
+
+    def test_growth_lookup_decides_maximality(self):
+        # maximal traces found by the growth lookup equal those found by
+        # pairwise comparison, on a family that is not a base family
+        fam = [0b0011, 0b0110, 0b1000, 0b1101, 0b0001]
+        grow = growth_masks(fam)
+        for x in range(16):
+            traces = {x & b for b in fam}
+            pairwise = {t for t in traces if not any(t | s == s != t for s in traces)}
+            assert {t for t in traces if not grow[t] & x} == pairwise, x
+
+
+class TestEnumerationOrder:
+    def test_independent_sets(self, corpus_unique, corpus_wide):
+        for name, m in corpus_unique + corpus_wide:
+            assert m.independent_sets() == reference_independent_sets(m), name
+
+    def test_order_is_not_mask_order(self):
+        # (size, sorted elements) puts {1,4} before {2,3}; (popcount, mask) would not
+        m = UniformMatroid(2, 4)
+        level = [s for s in m.independent_sets() if len(s) == 2]
+        assert level.index(frozenset({1, 4})) < level.index(frozenset({2, 3}))
+
+    def test_bases_sorted(self, corpus_unique):
+        for name, m in corpus_unique:
+            want = tuple(sorted((s for s in reference_independent_sets(m)
+                                 if len(s) == m.full_rank), key=sorted))
+            assert m.bases() == want, name
+
+
+class TestVerifyFamily:
+    def test_bridge_families(self, corpus_unique, bridge_families):
+        for name, m in corpus_unique:
+            for fam in bridge_families(name, m):
+                want = reference_verify_family(m, fam)
+                assert same(verify_family(m, fam), want), (name, fam)
+
+    def test_wide_grounds(self, corpus_wide):
+        for name, m, fam in wide_families(corpus_wide):
+            want = reference_verify_family(m, fam)
+            assert same(verify_family(m, fam), want), (name, fam)
+
