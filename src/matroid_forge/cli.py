@@ -223,27 +223,18 @@ def _cmd_classify_truncation(args, report: Report) -> int:
     return EXIT_OK if level is not None else EXIT_VIOLATION
 
 
-def _finite_carrier(matroid, spec):
-    if isinstance(matroid, FinitaryMatroid):
-        return spec
-    if spec.is_infinite:
-        raise MatroidForgeError("finite matroids take finite set specs")
-    return frozenset(spec.low)
-
-
 def _cmd_equiv(args, report: Report) -> int:
     matroid = _load_matroid(report, args.matroid)
     if args.action == "classify":
         if not args.single:
             raise MatroidForgeError("classify needs --set")
-        spec = _load_setspec(report, "set", args.single)
-        label = classify_class(matroid, _finite_carrier(matroid, spec))
+        label = classify_class(matroid, _load_setspec(report, "set", args.single))
         report.add("class", label)
         return EXIT_OK
     if not args.left or not args.right:
         raise MatroidForgeError(f"{args.action} needs --left and --right")
-    left = _finite_carrier(matroid, _load_setspec(report, "left", args.left))
-    right = _finite_carrier(matroid, _load_setspec(report, "right", args.right))
+    left = _load_setspec(report, "left", args.left)
+    right = _load_setspec(report, "right", args.right)
     if args.action == "strong":
         answer = strongly_equivalent(matroid, left, right)
     else:

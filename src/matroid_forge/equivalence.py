@@ -31,18 +31,16 @@ class _Unknown:
 UNKNOWN = _Unknown()
 
 
-def _finite_carrier(matroid: FiniteMatroid, carrier) -> frozenset:
-    s = matroid._subset(carrier, "carrier")
-    if not matroid.is_independent(s):
-        raise DependenceError(f"{fmt(s)} is not independent")
-    return s
-
-
 def _carrier(matroid, value):
     if isinstance(matroid, FiniteMatroid):
         if isinstance(value, TemplateSet):
-            raise GroundError("finite matroids take finite carriers, not templates")
-        return _finite_carrier(matroid, value)
+            if value.is_infinite:
+                raise GroundError("finite matroids take finite carriers, not infinite templates")
+            value = value.low
+        s = matroid._subset(value, "carrier")
+        if not matroid.is_independent(s):
+            raise DependenceError(f"{fmt(s)} is not independent")
+        return s
     if isinstance(matroid, FinitaryMatroid):
         return matroid.require_independent(value)
     raise GroundError(f"unsupported matroid object {matroid!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd, inf, lcm
 from typing import Iterable
 
-from .core import FiniteMatroid, OracleMatroid, max_independent_extension
+from .core import FiniteMatroid, OracleMatroid
 from .errors import DependenceError, SchemaError, SpecError
 from .templates import TemplateSet
 
@@ -126,7 +126,10 @@ class FreeMatroid(FinitaryMatroid):
 
 
 class PeriodicSumMatroid(FinitaryMatroid):
-    """Direct sum of one finite component matroid repeated over blocks of ℕ."""
+    """Direct sum of one finite component matroid repeated over blocks of ℕ.
+
+    Position p of a block (element c * block + p) is bit p of a component mask.
+    """
 
     kind = "periodic-sum"
 
@@ -136,23 +139,20 @@ class PeriodicSumMatroid(FinitaryMatroid):
         if component.full_rank < 1:
             raise SpecError("component matroid must have rank at least one")
         self.component = component
-        self._elems = component._order
-        self.block = len(self._elems)
-        self._pos = {e: i for i, e in enumerate(self._elems)}
+        self.block = len(component.ground)
 
     def __repr__(self) -> str:
         return f"<PeriodicSumMatroid of {self.component!r}>"
 
     # block decomposition -----------------------------------------------------
 
-    def _pattern(self, template: TemplateSet, c: int) -> frozenset:
-        base = c * self.block
-        return frozenset(
-            self._elems[p] for p in range(self.block) if (base + p) in template
-        )
-
-    def _cycle(self, template: TemplateSet) -> int:
-        return template.period // gcd(template.period, self.block)
+    def _blocks(self, template: TemplateSet, count: int) -> list[int]:
+        """Component masks of the template's blocks 0..count-1."""
+        masks = [0] * count
+        for n in template.members_below(count * self.block):
+            c, p = divmod(n, self.block)
+            masks[c] |= 1 << p
+        return masks
 
     def _window(self, *templates: TemplateSet) -> tuple[int, int]:
         """(head length, tail cycle) so block patterns repeat beyond the head."""
@@ -162,18 +162,39 @@ class PeriodicSumMatroid(FinitaryMatroid):
             raise SpecError("template threshold too large for block analysis")
         cycle = 1
         for t in templates:
-            cycle = lcm(cycle, self._cycle(t))
+            cycle = lcm(cycle, t.period // gcd(t.period, self.block))
         return head, cycle
+
+    def _extend(self, chosen: int, pool: int, size: int, over: int = 0) -> int:
+        """Greedy: add positions of pool in ascending order while chosen stays
+        independent over `over`, until it has `size` elements."""
+        rank = self.component.rank_mask
+        base = rank(over)
+        for p in range(self.block):
+            bit = 1 << p
+            count = chosen.bit_count()
+            if pool & bit and count < size and rank(chosen | bit | over) == base + count + 1:
+                chosen |= bit
+        return chosen
+
+    def _template(self, masks: list[int], start: int, cycle: int) -> TemplateSet:
+        """Template with block c < start given by masks[c], then masks[start:] repeating."""
+        members = [c * self.block + p for c, mask in enumerate(masks)
+                   for p in range(self.block) if mask >> p & 1]
+        cut, period = start * self.block, cycle * self.block
+        residues = {n % period for n in members if n >= cut}
+        return TemplateSet(period, residues, cut, [n for n in members if n < cut])
 
     # finite sets -----------------------------------------------------------
 
     def finite_rank(self, xs: Iterable[int]) -> int:
-        groups: dict[int, set[int]] = {}
+        blocks: dict[int, int] = {}
         for e in frozenset(int(v) for v in xs):
             if e < 0:
                 raise SpecError("element ids are natural numbers")
-            groups.setdefault(e // self.block, set()).add(self._elems[e % self.block])
-        return sum(self.component.rank(g) for g in groups.values())
+            c, p = divmod(e, self.block)
+            blocks[c] = blocks.get(c, 0) | 1 << p
+        return sum(map(self.component.rank_mask, blocks.values()))
 
     # templates -------------------------------------------------------------
 
@@ -181,47 +202,30 @@ class PeriodicSumMatroid(FinitaryMatroid):
         t = TemplateSet.coerce(template)
         o = TemplateSet.coerce(over) if over is not None else TemplateSet.empty()
         head, cycle = self._window(t, o)
-
-        def block_ok(c: int) -> bool:
-            tp = self._pattern(t, c) - self._pattern(o, c)
-            op = self._pattern(o, c)
-            return self.component.rank(tp | op) == len(tp) + self.component.rank(op)
-
-        return all(block_ok(c) for c in range(head + cycle))
+        rank = self.component.rank_mask
+        return all(
+            rank(tp | op) == (tp & ~op).bit_count() + rank(op)
+            for tp, op in zip(self._blocks(t, head + cycle), self._blocks(o, head + cycle))
+        )
 
     def relative_rank(self, xs, ys) -> int | float:
         x = TemplateSet.coerce(xs)
         y = TemplateSet.coerce(ys)
         head, cycle = self._window(x, y)
-
-        def gain(c: int) -> int:
-            xp = self._pattern(x, c)
-            yp = self._pattern(y, c)
-            return self.component.rank(xp | yp) - self.component.rank(yp)
-
-        if any(gain(c) for c in range(head, head + cycle)):
-            return INFINITE
-        return sum(gain(c) for c in range(head))
+        rank = self.component.rank_mask
+        gains = [
+            rank(xp | yp) - rank(yp)
+            for xp, yp in zip(self._blocks(x, head + cycle), self._blocks(y, head + cycle))
+        ]
+        return INFINITE if any(gains[head:]) else sum(gains)
 
     def max_independent_subtemplate(self, template, over=None) -> TemplateSet:
         t = TemplateSet.coerce(template)
         o = TemplateSet.coerce(over) if over is not None else TemplateSet.empty()
         head, cycle = self._window(t, o)
-
-        def choose(c: int) -> list[int]:
-            op = self._pattern(o, c)
-            contracted = self.component.contract(op) if op else self.component
-            pool = self._pattern(t, c) - op
-            chosen = max_independent_extension(contracted, (), pool)
-            base = c * self.block
-            return [base + self._pos[e] for e in sorted(chosen)]
-
-        low: list[int] = []
-        for c in range(head):
-            low.extend(choose(c))
-        period = cycle * self.block
-        residues = {n % period for c in range(head, head + cycle) for n in choose(c)}
-        return TemplateSet(period, residues, head * self.block, low)
+        blocks = zip(self._blocks(t, head + cycle), self._blocks(o, head + cycle))
+        chosen = [self._extend(0, tp, self.block, op) for tp, op in blocks]
+        return self._template(chosen, head, cycle)
 
     def class_member(self, rep, lower, upper=None) -> TemplateSet | None:
         # B ~ rep iff all but finitely many blocks B_c span exactly cl(R_c) and
@@ -231,32 +235,24 @@ class PeriodicSumMatroid(FinitaryMatroid):
         up = TemplateSet.coerce(upper) if upper is not None else TemplateSet.full()
         head, cycle = self._window(r, lo, up)
         comp = self.component
+        parts = list(zip(*(self._blocks(t, head + cycle) for t in (lo, up, r))))
 
-        def parts(c: int) -> tuple[frozenset, frozenset, frozenset]:
-            return self._pattern(lo, c), self._pattern(up, c), self._pattern(r, c)
-
-        def grow(lp: frozenset, pool: frozenset, rp: frozenset, size: int) -> set:
+        def grow(lp: int, pool: int, rp: int, size: int) -> int:
             # independent extension of lp inside pool up to `size`, rep's elements first
-            chosen = set(lp)
-            for e in sorted(pool - lp, key=lambda e: (e not in rp, self._pos[e])):
-                if len(chosen) < size and comp.is_independent(chosen | {e}):
-                    chosen.add(e)
-            return chosen
-
-        def spanning(c: int) -> set | None:
-            # B_c with L_c <= B_c <= U_c spanning exactly cl(R_c); needs L_c independent
-            lp, upp, rp = parts(c)
-            span = comp.span_of(rp)
-            chosen = grow(lp, upp & span, rp, len(rp))
-            return chosen if len(chosen) == len(rp) and chosen <= span else None
+            return self._extend(self._extend(lp, pool & rp, size), pool, size)
 
         ranges = []  # bounds on |B_c| - |R_c| over independent L_c <= B_c <= U_c
-        for lp, upp, rp in map(parts, range(head + cycle)):
-            if not (lp <= upp and comp.is_independent(lp)):
+        for lp, upp, rp in parts:
+            if lp & ~upp or not comp.independent_mask(lp):
                 return None
-            ranges.append((len(lp) - len(rp), comp.rank(upp) - len(rp)))
-        if None in [spanning(c) for c in range(head, head + cycle)]:
-            return None
+            ranges.append((lp.bit_count() - rp.bit_count(), comp.rank_mask(upp) - rp.bit_count()))
+        spanning = []  # per tail block: L_c <= B_c <= U_c spanning exactly cl(R_c)
+        for lp, upp, rp in parts[head:]:
+            span = comp.span_mask(rp)
+            chosen = grow(lp, upp & span, rp, rp.bit_count())
+            if chosen.bit_count() != rp.bit_count() or chosen & ~span:
+                return None
+            spanning.append(chosen)
         ranges, tail = ranges[:head], ranges[head:]
         shifts = [min(max(0, a), b) for a, b in ranges]
         excess = sum(shifts)
@@ -274,18 +270,15 @@ class PeriodicSumMatroid(FinitaryMatroid):
             excess += step
             i += 1
 
-        low: list[int] = []
+        # past the head, block c repeats block head + (c - head) % cycle, since
+        # cycle * block is a multiple of every template's period
+        masks = []
         for c, shift in enumerate(shifts):
-            lp, upp, rp = parts(c)
-            low.extend(c * self.block + self._pos[e] for e in grow(lp, upp, rp, len(rp) + shift))
+            lp, upp, rp = parts[min(c, head + (c - head) % cycle)]
+            masks.append(grow(lp, upp, rp, rp.bit_count() + shift))
         start = len(shifts)
-        period = cycle * self.block
-        residues = {
-            (c * self.block + self._pos[e]) % period
-            for c in range(start, start + cycle)
-            for e in spanning(c)
-        }
-        return TemplateSet(period, residues, start * self.block, low)
+        masks += [spanning[(c - head) % cycle] for c in range(start, start + cycle)]
+        return self._template(masks, start, cycle)
 
     def canonical_base(self) -> TemplateSet:
         return self.max_independent_subtemplate(TemplateSet.full())

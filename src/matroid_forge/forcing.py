@@ -16,6 +16,7 @@ re-verifies every rank inequality it claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
@@ -62,7 +63,7 @@ class Task:
     lower: TemplateSet
     upper: TemplateSet
 
-    @property
+    @cached_property
     def gap(self) -> TemplateSet:
         return self.upper - self.lower
 

@@ -20,7 +20,8 @@ from typing import Iterable, Iterator
 
 from .errors import SpecError
 
-# lcm of combined periods is capped so degenerate inputs fail loudly
+# periods (also combined ones), thresholds and excluded members are capped so
+# degenerate inputs fail loudly instead of looping over huge ranges
 _PERIOD_LIMIT = 1_000_000
 
 
@@ -50,6 +51,8 @@ class TemplateSet:
             raise SpecError("threshold must be a natural number")
         if any(x >= threshold for x in lo):
             raise SpecError("low part must lie below the threshold")
+        if max(period, threshold, *mi) > _PERIOD_LIMIT:
+            raise SpecError(f"template period, threshold and members are limited to {_PERIOD_LIMIT}")
 
         def raw_member(n: int) -> bool:
             hit = (n >= threshold and n % period in res) or n in lo

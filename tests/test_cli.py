@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -52,6 +53,17 @@ class TestExitCodes:
         assert code == 2
         code, _ = dispatch(["equiv", "strong", "--matroid", str(workdir / "free.txt")])
         assert code == 2
+
+    def test_hostile_template_is_two(self, workdir):
+        huge = 10**12
+        for spec in (f"template d={huge} res=0", f"template t={huge}",
+                     f"template minus={huge}", f"set {huge}"):
+            start = time.perf_counter()
+            code, _ = dispatch([
+                "equiv", "classify", "--matroid", str(workdir / "free.txt"), "--set", spec,
+            ])
+            assert code == EXIT_USAGE
+            assert time.perf_counter() - start < 1
 
     def test_false_equiv_is_one(self, workdir):
         code, _ = dispatch([

@@ -54,6 +54,12 @@ class TestStronglyEquivalent:
     def test_reflexive(self):
         assert strongly_equivalent(FREE, EVENS, EVENS)
 
+    def test_finite_template_on_finite_matroid(self):
+        m = UniformMatroid(2, 4)
+        assert strongly_equivalent(m, TemplateSet.from_finite([1, 2]), {3, 4})
+        with pytest.raises(GroundError):
+            strongly_equivalent(m, EVENS, {1})
+
     def test_unbalanced_finite_difference(self):
         assert not strongly_equivalent(FREE, EVENS, EVENS.patch(add=[1], remove=()))
 

@@ -1,20 +1,25 @@
 import random
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 
 from matroid_forge import (
     DependenceError,
+    ExplicitMatroid,
     FreeMatroid,
     GraphicMatroid,
     INFINITE,
+    LinearMatroid,
     PeriodicSumMatroid,
     SpecError,
     TemplateSet,
     UniformMatroid,
+    max_independent_extension,
     removal_witness,
     strongly_equivalent,
 )
+from matroid_forge.finitary import _HEAD_LIMIT
 
 EVENS = TemplateSet(2, [0])
 ODDS = TemplateSet(2, [1])
@@ -22,6 +27,12 @@ FREE = FreeMatroid()
 PAIRS = PeriodicSumMatroid(UniformMatroid(1, 2))  # blocks {a_i, b_i} = {2i, 2i+1}
 A_ALL = TemplateSet(2, [0])
 B_ALL = TemplateSet(2, [1])
+TRIANGLE = GraphicMatroid([("a", "b"), ("b", "c"), ("a", "c")])
+SPARSE = ExplicitMatroid({2, 5, 9}, [{2, 5}, {5, 9}])  # component ids are not positions
+COMPONENTS = [
+    UniformMatroid(1, 2), UniformMatroid(2, 3), UniformMatroid(2, 4), UniformMatroid(1, 1),
+    TRIANGLE, SPARSE, LinearMatroid(2, [[1, 0, 1, 1], [0, 1, 1, 0]]),
+]
 
 
 class TestConstruction:
@@ -54,6 +65,13 @@ class TestCertify:
         assert not PAIRS.certify(A_ALL, over=B_ALL)
         assert PAIRS.certify(TemplateSet(4, [0]), over=TemplateSet(4, [3]))
 
+    def test_head_limit(self):
+        # the block analysis refuses a head of more than _HEAD_LIMIT blocks
+        far = TemplateSet.from_finite([300_000])
+        assert far.threshold // PAIRS.block > _HEAD_LIMIT
+        with pytest.raises(SpecError):
+            PAIRS.certify(far)
+
     def test_finitary_consistency(self):
         # all sampled finite subsets of a certified template are independent
         rng = random.Random(5)
@@ -83,7 +101,8 @@ class TestRelativeRank:
 
     def test_agrees_with_restriction(self):
         rng = random.Random(7)
-        toured = [FREE, PAIRS, PeriodicSumMatroid(UniformMatroid(2, 3))]
+        toured = [FREE, PAIRS, PeriodicSumMatroid(UniformMatroid(2, 3)),
+                  PeriodicSumMatroid(TRIANGLE), PeriodicSumMatroid(SPARSE)]
         for schema in toured:
             for size in (8, 16, 32, 64):
                 finite = schema.restrict(size)
@@ -112,6 +131,21 @@ class TestMaxIndependentSubtemplate:
         got = PAIRS.max_independent_subtemplate(B_ALL, over=A_ALL)
         assert got.is_empty
 
+    def test_matches_per_block_minors(self):
+        rng = random.Random(13)
+
+        def template():
+            d, t = rng.randint(1, 9), rng.randint(0, 14)
+            return TemplateSet(d, [r for r in range(d) if rng.random() < 0.5], t,
+                               [n for n in range(t) if rng.random() < 0.5])
+
+        for _ in range(300):
+            schema = PeriodicSumMatroid(rng.choice(COMPONENTS))
+            pool, over = template(), template()
+            for base in (None, over):
+                expected = per_block_subtemplate(schema, pool, base or TemplateSet.empty())
+                assert schema.max_independent_subtemplate(pool, over=base) == expected
+
     def test_result_certified_and_maximal(self):
         rich = PeriodicSumMatroid(UniformMatroid(2, 3))
         pool = TemplateSet(2, [0]) | TemplateSet(6, [1])
@@ -122,22 +156,46 @@ class TestMaxIndependentSubtemplate:
             assert not rich.certify(grown)
 
 
+def window(schema, *templates):
+    """(head, cycle) in blocks: past the head, block patterns repeat with the cycle."""
+    head = -(-max(t.threshold for t in templates) // schema.block)
+    return head, lcm(*(t.period // gcd(t.period, schema.block) for t in templates))
+
+
+def pattern(schema, template, c):
+    """Component elements of block c: position p holds the p-th smallest element."""
+    return frozenset(e for p, e in enumerate(sorted(schema.component.ground))
+                     if c * schema.block + p in template)
+
+
 def assemble(schema, patterns, start, cycle):
     """Template with block c < start given by patterns[c], then patterns[start:] repeating."""
-    block, pos = schema.block, schema._pos
+    block = schema.block
+    pos = {e: p for p, e in enumerate(sorted(schema.component.ground))}
     low = [c * block + pos[e] for c in range(start) for e in patterns[c]]
     residues = [(c * block + pos[e]) % (cycle * block)
                 for c in range(start, start + cycle) for e in patterns[c]]
     return TemplateSet(cycle * block, residues, start * block, low)
 
 
+def per_block_subtemplate(schema, template, over):
+    """Greedy per block in the component contracted by over's pattern there."""
+    head, cycle = window(schema, template, over)
+    chosen = []
+    for c in range(head + cycle):
+        op = pattern(schema, over, c)
+        minor = schema.component.contract(op) if op else schema.component
+        chosen.append(max_independent_extension(minor, (), pattern(schema, template, c) - op))
+    return assemble(schema, chosen, head, cycle)
+
+
 def brute_class_member(schema, rep, lower, upper):
     """Search every independent template free over head + cycle + 3 blocks."""
     bound = TemplateSet.full() if upper is None else upper
-    head, cycle = schema._window(rep, lower, bound)
+    head, cycle = window(schema, rep, lower, bound)
     patterns = [frozenset(s) for s in schema.component.independent_sets()]
     choices = [
-        [p for p in patterns if schema._pattern(lower, c) <= p <= schema._pattern(bound, c)]
+        [p for p in patterns if pattern(schema, lower, c) <= p <= pattern(schema, bound, c)]
         for c in range(head + 3 + cycle)
     ]
     for picks in product(*choices):

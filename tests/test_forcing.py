@@ -54,6 +54,7 @@ class TestMakeTask:
     def test_valid(self):
         task = make_task(FREE, EMPTY, ODDS)
         assert task.gap == ODDS
+        assert task.gap is task.gap
 
     def test_finite_gap_rejected(self):
         with pytest.raises(TaskError):

@@ -39,6 +39,17 @@ class TestMembership:
         with pytest.raises(SpecError):
             T(2, [0], low=[-1], threshold=1)
 
+    def test_limits(self):
+        # period, threshold and excluded members past the limit fail before any work
+        huge = 10**12
+        for kwargs in ({"period": huge, "residues": [0]}, {"threshold": huge}, {"minus": [huge]}):
+            with pytest.raises(SpecError):
+                T(**kwargs)
+        with pytest.raises(SpecError):
+            TemplateSet.from_finite([huge])
+        with pytest.raises(SpecError):
+            T(1000, [0]) | T(1001, [0])  # combined period 1001000
+
 
 class TestCanonical:
     def test_period_minimised(self):
