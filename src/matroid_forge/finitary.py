@@ -17,13 +17,15 @@ from typing import Iterable
 
 from .core import FiniteMatroid, OracleMatroid
 from .errors import DependenceError, SchemaError, SpecError
-from .templates import TemplateSet
+from .templates import _PERIOD_LIMIT, TemplateSet
 
 INFINITE = inf
 
 # safety caps for searches whose success is guaranteed by matroid theory
 _HEAD_LIMIT = 100_000
 _EXCHANGE_SCAN_LIMIT = 100_000
+# blocks per run when `_blocks` slices a template's mask
+_RUN = 256
 
 
 class FinitaryMatroid:
@@ -148,10 +150,14 @@ class PeriodicSumMatroid(FinitaryMatroid):
 
     def _blocks(self, template: TemplateSet, count: int) -> list[int]:
         """Component masks of the template's blocks 0..count-1."""
-        masks = [0] * count
-        for n in template.members_below(count * self.block):
-            c, p = divmod(n, self.block)
-            masks[c] |= 1 << p
+        block, full = self.block, (1 << self.block) - 1
+        whole = template.mask_below(count * block)
+        # cut the mask into runs of _RUN blocks first, so each per-block shift
+        # reads a short run, not the whole mask of a long window
+        masks = []
+        for start in range(0, count, _RUN):
+            run = whole >> start * block & ((1 << _RUN * block) - 1)
+            masks += [run >> c * block & full for c in range(min(_RUN, count - start))]
         return masks
 
     def _window(self, *templates: TemplateSet) -> tuple[int, int]:
@@ -163,6 +169,8 @@ class PeriodicSumMatroid(FinitaryMatroid):
         cycle = 1
         for t in templates:
             cycle = lcm(cycle, t.period // gcd(t.period, self.block))
+        if cycle > _PERIOD_LIMIT:
+            raise SpecError("combined template period too large for block analysis")
         return head, cycle
 
     def _extend(self, chosen: int, pool: int, size: int, over: int = 0) -> int:

@@ -6,6 +6,9 @@ the period is minimised, and the threshold is pushed down as far as the
 periodic formula allows.  Two templates are equal iff they denote the same
 set, so canonical fields can be compared and hashed directly.
 
+Residues are one `period`-bit int (bit r: residue r), the low part one
+`threshold`-bit int (bit n: member n); `residues` and `low` return frozensets.
+
 Templates are closed under union, intersection, difference and finite
 patches (periods combine by lcm), membership and infinitude are decidable,
 and an infinite template can be enumerated in ascending order.  That is
@@ -25,8 +28,47 @@ from .errors import SpecError
 _PERIOD_LIMIT = 1_000_000
 
 
+def _mask(values: Iterable[int], width: int) -> int:
+    """Bit mask of naturals below `width`, built in one pass."""
+    buf = bytearray((width + 7) >> 3)
+    for v in values:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of a mask, ascending."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def _tile(mask: int, width: int, total: int) -> int:
+    """The `width`-bit mask repeated to `total` bits, by doubling."""
+    while width < total and mask:
+        mask |= mask << width
+        width <<= 1
+    return mask & ((1 << total) - 1)
+
+
+def _divisors(n: int) -> list[int]:
+    small, large = [], []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            small.append(i)
+            if i * i != n:
+                large.append(n // i)
+        i += 1
+    return small + large[::-1]
+
+
 class TemplateSet:
-    __slots__ = ("period", "residues", "threshold", "low")
+    __slots__ = ("period", "_res", "threshold", "_low")
 
     def __init__(
         self,
@@ -54,31 +96,35 @@ class TemplateSet:
         if max(period, threshold, *mi) > _PERIOD_LIMIT:
             raise SpecError(f"template period, threshold and members are limited to {_PERIOD_LIMIT}")
 
-        def raw_member(n: int) -> bool:
-            hit = (n >= threshold and n % period in res) or n in lo
-            return hit and n not in mi
-
-        # fold exclusions below a clean cut, then minimise period and threshold
+        # fold exclusions below a clean cut: members below t become explicit
+        r = _mask(res, period)
         t = threshold if not mi else max(threshold, max(mi) + 1)
-        low2 = {n for n in range(t) if raw_member(n)}
+        periodic = _tile(r, period, t) >> threshold << threshold
+        self._canonicalise(period, r, t, (_mask(lo, t) | periodic) & ~_mask(mi, t))
+
+    def _canonicalise(self, period: int, res: int, threshold: int, low: int) -> None:
+        """Store the canonical form of ``{n >= threshold : bit n % period of res} | low``,
+        where `low` holds exactly the members below `threshold`."""
         if res:
-            d, res2 = period, res
-            for e in range(1, period + 1):
-                if period % e:
-                    continue
-                base = frozenset(r % e for r in res)
-                if res == frozenset(x for x in range(period) if x % e in base):
-                    d, res2 = e, base
+            count = res.bit_count()
+            for e in _divisors(period):
+                base = res & ((1 << e) - 1)
+                if base.bit_count() * (period // e) == count and _tile(base, e, period) == res:
+                    period, res = e, base
                     break
         else:
-            d, res2 = 1, frozenset()
-        while t > 0 and (((t - 1) % d in res2) == ((t - 1) in low2)):
-            low2.discard(t - 1)
-            t -= 1
-        self.period = d
-        self.residues = res2
-        self.threshold = t
-        self.low = frozenset(low2)
+            period = 1
+        threshold = (low ^ _tile(res, period, threshold)).bit_length()
+        self.period = period
+        self._res = res
+        self.threshold = threshold
+        self._low = low & ((1 << threshold) - 1)
+
+    @classmethod
+    def _from_masks(cls, period: int, res: int, threshold: int, low: int) -> "TemplateSet":
+        out = cls.__new__(cls)
+        out._canonicalise(period, res, threshold, low)
+        return out
 
     # -- construction helpers ------------------------------------------------
 
@@ -104,34 +150,44 @@ class TemplateSet:
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def residues(self) -> frozenset:
+        return frozenset(_bits(self._res))
+
+    @property
+    def low(self) -> frozenset:
+        return frozenset(_bits(self._low))
+
     def __contains__(self, n: int) -> bool:
         if n < 0:
             return False
         if n < self.threshold:
-            return n in self.low
-        return n % self.period in self.residues
+            return bool(self._low >> n & 1)
+        return bool(self._res >> n % self.period & 1)
 
     @property
     def is_infinite(self) -> bool:
-        return bool(self.residues)
+        return bool(self._res)
 
     @property
     def is_empty(self) -> bool:
-        return not self.residues and not self.low
+        return not self._res and not self._low
 
     def size(self) -> int | None:
         """Number of members, or None when infinite."""
-        return None if self.residues else len(self.low)
+        return None if self._res else self._low.bit_count()
 
     def iter_members(self) -> Iterator[int]:
-        yield from sorted(self.low)
-        if not self.residues:
+        yield from _bits(self._low)
+        if not self._res:
             return
-        n = self.threshold
+        rs = _bits(self._res)
+        start = self.threshold - self.threshold % self.period
+        yield from (start + r for r in rs if start + r >= self.threshold)
         while True:
-            if n % self.period in self.residues:
-                yield n
-            n += 1
+            start += self.period
+            for r in rs:
+                yield start + r
 
     def first(self, count: int) -> list[int]:
         out = list(islice(self.iter_members(), count))
@@ -139,37 +195,34 @@ class TemplateSet:
             raise SpecError(f"template has fewer than {count} members")
         return out
 
-    def members_below(self, stop: int) -> list[int]:
-        return [n for n in range(stop) if n in self]
+    def mask_below(self, stop: int) -> int:
+        """Bit mask of the members below `stop`."""
+        if stop <= self.threshold:
+            return self._low & ((1 << max(stop, 0)) - 1)
+        return self._low | _tile(self._res, self.period, stop) >> self.threshold << self.threshold
 
-    def min_member(self) -> int | None:
-        for n in self.iter_members():
-            return n
-        return None
+    def members_below(self, stop: int) -> list[int]:
+        return _bits(self.mask_below(stop))
 
     # -- algebra -----------------------------------------------------------
 
-    def _combine(self, other: "TemplateSet", keep) -> "TemplateSet":
+    def _combine(self, other: "TemplateSet", op) -> "TemplateSet":
         period = lcm(self.period, other.period)
         if period > _PERIOD_LIMIT:
             raise SpecError("combined period exceeds the workbench limit")
         threshold = max(self.threshold, other.threshold)
-        res = {
-            r
-            for r in range(period)
-            if keep(r % self.period in self.residues, r % other.period in other.residues)
-        }
-        low = {n for n in range(threshold) if keep(n in self, n in other)}
-        return TemplateSet(period, res, threshold, low)
+        res = op(_tile(self._res, self.period, period), _tile(other._res, other.period, period))
+        low = op(self.mask_below(threshold), other.mask_below(threshold))
+        return TemplateSet._from_masks(period, res, threshold, low)
 
     def union(self, other) -> "TemplateSet":
-        return self._combine(TemplateSet.coerce(other), lambda a, b: a or b)
+        return self._combine(TemplateSet.coerce(other), lambda a, b: a | b)
 
     def intersection(self, other) -> "TemplateSet":
-        return self._combine(TemplateSet.coerce(other), lambda a, b: a and b)
+        return self._combine(TemplateSet.coerce(other), lambda a, b: a & b)
 
     def difference(self, other) -> "TemplateSet":
-        return self._combine(TemplateSet.coerce(other), lambda a, b: a and not b)
+        return self._combine(TemplateSet.coerce(other), lambda a, b: a & ~b)
 
     __or__ = union
     __and__ = intersection
@@ -184,9 +237,6 @@ class TemplateSet:
         if remove:
             out = out - TemplateSet.from_finite(remove)
         return out
-
-    def complement_within(self, other) -> "TemplateSet":
-        return TemplateSet.coerce(other) - self
 
     def issubset(self, other) -> bool:
         return (self - other).is_empty
@@ -205,15 +255,15 @@ class TemplateSet:
         if indices.is_empty:
             return TemplateSet.empty()
         if not self.is_infinite:
-            members = sorted(self.low)
+            members = _bits(self._low)
             if indices.is_infinite or any(i >= len(members) for i in indices.low):
                 raise SpecError("index set exceeds the finite carrier")
             return TemplateSet.from_finite(members[i] for i in indices.low)
         d = self.period
-        rs = sorted(self.residues)
+        rs = _bits(self._res)
         block = len(rs)
         t0 = -(-self.threshold // d) * d
-        head = [n for n in range(t0) if n in self]
+        head = self.members_below(t0)
         offset = len(head)
 
         def nth(m: int) -> int:
@@ -240,31 +290,32 @@ class TemplateSet:
     # -- identity ---------------------------------------------------------
 
     def sort_key(self):
-        return (self.period, tuple(sorted(self.residues)), self.threshold, tuple(sorted(self.low)))
+        return (self.period, tuple(_bits(self._res)), self.threshold, tuple(_bits(self._low)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TemplateSet):
             return NotImplemented
-        return self.sort_key() == other.sort_key()
+        return (self.period, self._res, self.threshold, self._low) == (
+            other.period, other._res, other.threshold, other._low)
 
     def __hash__(self) -> int:
-        return hash(self.sort_key())
+        return hash((self.period, self._res, self.threshold, self._low))
 
     def directive(self) -> str:
         """Canonical one-line text form (finite sets emit as plain `set` lines)."""
         if not self.is_infinite:
-            return "set " + " ".join(str(n) for n in sorted(self.low))
+            return "set " + " ".join(str(n) for n in _bits(self._low))
         parts = [
             f"d={self.period}",
-            "res=" + ",".join(str(r) for r in sorted(self.residues)),
+            "res=" + ",".join(str(r) for r in _bits(self._res)),
             f"t={self.threshold}",
         ]
-        if self.low:
-            parts.append("low=" + ",".join(str(n) for n in sorted(self.low)))
+        if self._low:
+            parts.append("low=" + ",".join(str(n) for n in _bits(self._low)))
         return "template " + " ".join(parts)
 
     def __repr__(self) -> str:
         return (
-            f"TemplateSet(period={self.period}, residues={sorted(self.residues)}, "
-            f"threshold={self.threshold}, low={sorted(self.low)})"
+            f"TemplateSet(period={self.period}, residues={_bits(self._res)}, "
+            f"threshold={self.threshold}, low={_bits(self._low)})"
         )

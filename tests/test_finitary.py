@@ -45,6 +45,19 @@ class TestConstruction:
         assert PAIRS.is_finite_independent({0, 3, 4})
         assert not PAIRS.is_finite_independent({0, 1})
 
+    def test_blocks_over_long_windows(self):
+        # windows of several hundred blocks, so the mask is sliced over more than one run
+        rng = random.Random(7)
+        for schema in (PAIRS, PeriodicSumMatroid(TRIANGLE)):
+            for period in (997, 1201, 1920):
+                threshold = rng.randrange(3 * period)
+                t = TemplateSet(period, {rng.randrange(period) for _ in range(40)}, threshold,
+                                {rng.randrange(threshold) for _ in range(30)} if threshold else ())
+                count = sum(window(schema, t))
+                expected = [sum(1 << p for p in range(schema.block) if c * schema.block + p in t)
+                            for c in range(count)]
+                assert schema._blocks(t, count) == expected
+
     def test_rank_zero_component_rejected(self):
         loops = GraphicMatroid([("a", "a")])  # single loop, rank 0
         with pytest.raises(SpecError):
@@ -71,6 +84,15 @@ class TestCertify:
         assert far.threshold // PAIRS.block > _HEAD_LIMIT
         with pytest.raises(SpecError):
             PAIRS.certify(far)
+
+    def test_cycle_limit(self):
+        # coprime periods combine to a tail cycle of about 10**12 blocks, refused before any work
+        x, y = TemplateSet(999_983, [0]), TemplateSet(999_979, [1])
+        for query in (lambda: PAIRS.certify(x, over=y), lambda: PAIRS.relative_rank(x, y),
+                      lambda: PAIRS.max_independent_subtemplate(x, over=y),
+                      lambda: PAIRS.class_member(x, y)):
+            with pytest.raises(SpecError):
+                query()
 
     def test_finitary_consistency(self):
         # all sampled finite subsets of a certified template are independent
