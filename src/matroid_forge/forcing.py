@@ -20,7 +20,6 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
-from .equivalence import find_comparable_pair
 from .errors import ClaimError, FamilyError, SchemaError, SpecError, TaskError
 from .finitary import INFINITE, FinitaryMatroid, removal_witness
 from .gentrunc import TruncationFamily, class_member
@@ -97,7 +96,6 @@ class ClaimResult:
 
     status: str
     violator: TemplateSet | None = None
-    claim: int | None = None
     satisfier: TemplateSet | None = None
 
     @property
@@ -120,19 +118,16 @@ def check_claim_preconditions(
     """Verify the two structural claims a step needs, on the representatives.
 
     Compatibility of almost-spanning with strong equivalence makes the
-    representative check sufficient for the whole classes.  Representatives
-    must be pairwise incomparable; that is a caller error, not a verdict.
+    representative check sufficient for the whole classes.  A family built
+    on another schema or with a comparable pair is a caller error, not a verdict.
     """
-    reps = list(family)
-    pair = find_comparable_pair(matroid, reps)
-    if pair is not None:
-        raise FamilyError(
-            f"representatives must be pairwise incomparable; "
-            f"{pair[0].directive()} and {pair[1].directive()} are not"
-        )
+    family.require_schema(matroid)
+    if family.comparable is not None:
+        raise FamilyError("representatives must be pairwise incomparable; {} and {} are not"
+                          .format(*(rep.directive() for rep in family.comparable)))
     violators = chain(
-        ((1, rep) for rep in reps if matroid.relative_rank(rep, task.lower) != INFINITE),
-        ((2, rep) for rep in reps if matroid.relative_rank(task.upper, rep) != INFINITE),
+        ((1, rep) for rep in family if matroid.relative_rank(rep, task.lower) != INFINITE),
+        ((2, rep) for rep in family if matroid.relative_rank(task.upper, rep) != INFINITE),
     )
     claim, rep = next(violators, (None, None))
     if rep is None:
@@ -140,8 +135,8 @@ def check_claim_preconditions(
     between = class_member(matroid, rep, task.lower, task.upper)
     satisfier = between or class_member(matroid, rep, task.upper)
     if satisfier is not None and satisfier != rep:
-        return ClaimResult("task-satisfiable-directly", rep, claim, satisfier)
-    return ClaimResult(f"claim{claim}-violated", rep, claim)
+        return ClaimResult("task-satisfiable-directly", rep, satisfier)
+    return ClaimResult(f"claim{claim}-violated", rep)
 
 
 def _check_domain(condition: Condition, task: Task) -> None:
@@ -305,9 +300,8 @@ def forcing_step(
     claims = check_claim_preconditions(matroid, family, task)
     if not claims.ok:
         raise ClaimError(claims)
-    reps = list(family)
-    gain_reps = [r for r in reps if matroid.relative_rank(task.lower, r) != INFINITE]
-    guard_reps = [r for r in reps if matroid.relative_rank(r, task.upper) != INFINITE]
+    gain_reps = [r for r in family if matroid.relative_rank(task.lower, r) != INFINITE]
+    guard_reps = [r for r in family if matroid.relative_rank(r, task.upper) != INFINITE]
     condition = Condition()
     met: list[DenseEvidence] = []
     for level in range(1, depth + 1):
@@ -364,14 +358,10 @@ def seed_family(matroid: FinitaryMatroid, prefix: str) -> TruncationFamily:
     if not prefix or any(ch not in "01" for ch in prefix):
         raise SpecError("prefix must be a non-empty string of 0s and 1s")
     base = matroid.canonical_base()
-    reps = []
-    for i, ch in enumerate(prefix):
-        if ch == "1":
-            idx = TemplateSet(1 << (i + 1), [1 << i])
-        else:
-            idx = TemplateSet(1 << (i + 2), [1 << i])
-        reps.append(base.select(idx))
-    pair = find_comparable_pair(matroid, reps)
-    if pair is not None:
+    # position i: residue 2^i of period 2^(i+1) for a 1, of period 2^(i+2) for a 0
+    reps = [base.select(TemplateSet(1 << (i + 2 - int(ch)), [1 << i]))
+            for i, ch in enumerate(prefix)]
+    family = TruncationFamily.build(matroid, reps)
+    if family.comparable is not None:
         raise FamilyError("seed construction produced comparable representatives")
-    return TruncationFamily.build(matroid, reps)
+    return family

@@ -11,6 +11,10 @@ second route that the tests hold against the first.
 
 Enumeration comes in two flavours: a level-structured fast path and a raw
 2^|independents| sweep with no structural shortcuts, kept as the oracle.
+
+On a countable schema, `TruncationFamily.build` decides a family once, on one
+schema object: conditions 1-2 hold by construction and the first comparable
+pair (condition 3) is recorded for `verify_family_finitary` to read.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from .core import (
     growth_masks,
     size_order,
 )
-from .equivalence import find_comparable_pair, strongly_equivalent
+from .equivalence import strongly_equivalent
 from .errors import BoundError, FamilyError, SchemaError, TaskError
-from .finitary import FinitaryMatroid
+from .finitary import INFINITE, FinitaryMatroid
 from .templates import TemplateSet
 
 VERIFY_FAMILY_MAX_GROUND = 10
@@ -170,9 +174,15 @@ def enumerate_raw(matroid: FiniteMatroid) -> list[frozenset]:
 
 @dataclass(frozen=True)
 class TruncationFamily:
-    """Finite union of strong-equivalence classes, named by representatives."""
+    """Finite union of strong-equivalence classes, named by representatives.
 
+    Decided once by `build` on one schema: certified, pairwise non-equivalent,
+    and `comparable` is the first almost-spanning pair in `sort_key` order.
+    """
+
+    schema: FinitaryMatroid
     representatives: tuple[TemplateSet, ...]
+    comparable: tuple[TemplateSet, TemplateSet] | None
 
     @classmethod
     def build(cls, matroid: FinitaryMatroid, representatives: Iterable) -> "TruncationFamily":
@@ -180,13 +190,21 @@ class TruncationFamily:
                       key=TemplateSet.sort_key)
         if not reps:
             raise FamilyError("a truncation family needs at least one representative")
+        # strong equivalence is equal finite relative ranks both ways
+        comparable = None
         for i, a in enumerate(reps):
             for b in reps[i + 1:]:
-                if strongly_equivalent(matroid, a, b):
-                    raise FamilyError(
-                        f"representatives {a!r} and {b!r} name the same class"
-                    )
-        return cls(tuple(reps))
+                fwd = matroid.relative_rank(a, b)
+                bwd = matroid.relative_rank(b, a)
+                if fwd == bwd != INFINITE:
+                    raise FamilyError(f"representatives {a!r} and {b!r} name the same class")
+                if comparable is None and (fwd != INFINITE or bwd != INFINITE):
+                    comparable = (a, b)
+        return cls(matroid, tuple(reps), comparable)
+
+    def require_schema(self, matroid: FinitaryMatroid) -> None:
+        if matroid is not self.schema:
+            raise FamilyError(f"the family was built on another schema than {matroid!r}")
 
     def __iter__(self):
         return iter(self.representatives)
@@ -244,38 +262,22 @@ def verify_family_finitary(
 ) -> FinitaryFamilyVerdict:
     """Task-relative family check on a countable schema.
 
-    Conditions 1-3 are checked on the representatives (non-emptiness and
-    certified independence; pairwise non-equivalence; pairwise
-    incomparability under almost-spanning, which is what rules out
-    proper-subset spanning between distinct classes).  Condition 4 is checked
-    only for the supplied task pairs; for each pair, whether some class is
-    triggered and whether some class settles it are decided exactly by the
-    schema's `class_member`.
+    Conditions 1-2 (certified independence, pairwise non-equivalence) hold
+    by construction of the family, which must be built on `matroid`; condition
+    3 (pairwise incomparability) reads its recorded pair.  Condition 4 is
+    checked for the supplied task pairs only, decided exactly by `class_member`.
     """
-    reps = list(family)
-    if not reps:
-        return FinitaryFamilyVerdict(Verdict.violation("1"))
-    for rep in reps:
-        if not matroid.certify(rep):
-            return FinitaryFamilyVerdict(Verdict.violation("1", rep.directive()))
-    for i, a in enumerate(reps):
-        for b in reps[i + 1:]:
-            if strongly_equivalent(matroid, a, b):
-                return FinitaryFamilyVerdict(
-                    Verdict.violation("2", a.directive(), b.directive())
-                )
-    pair = find_comparable_pair(matroid, reps)
-    if pair is not None:
+    family.require_schema(matroid)
+    if family.comparable is not None:
         return FinitaryFamilyVerdict(
-            Verdict.violation("3", pair[0].directive(), pair[1].directive())
-        )
+            Verdict.violation("3", *(rep.directive() for rep in family.comparable)))
     unmet = []
     for raw in tasks:
         lower, upper = _normalize_task_pair(matroid, raw)
-        triggered = any(class_member(matroid, rep, lower) for rep in reps)
+        triggered = any(class_member(matroid, rep, lower) for rep in family)
         if triggered and not any(
             class_member(matroid, rep, lower, upper) or class_member(matroid, rep, upper)
-            for rep in reps
+            for rep in family
         ):
             unmet.append((lower, upper))
     return FinitaryFamilyVerdict(Verdict.passed(), tuple(unmet))

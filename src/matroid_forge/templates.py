@@ -26,6 +26,7 @@ from .errors import SpecError
 # periods (also combined ones), thresholds and excluded members are capped so
 # degenerate inputs fail loudly instead of looping over huge ranges
 _PERIOD_LIMIT = 1_000_000
+_LIMIT_ERROR = f"template period, threshold and members are limited to {_PERIOD_LIMIT}"
 
 
 def _mask(values: Iterable[int], width: int) -> int:
@@ -94,7 +95,7 @@ class TemplateSet:
         if any(x >= threshold for x in lo):
             raise SpecError("low part must lie below the threshold")
         if max(period, threshold, *mi) > _PERIOD_LIMIT:
-            raise SpecError(f"template period, threshold and members are limited to {_PERIOD_LIMIT}")
+            raise SpecError(_LIMIT_ERROR)
 
         # fold exclusions below a clean cut: members below t become explicit
         r = _mask(res, period)
@@ -130,9 +131,13 @@ class TemplateSet:
 
     @classmethod
     def from_finite(cls, values: Iterable[int]) -> "TemplateSet":
-        vals = frozenset(int(v) for v in values)
-        top = max(vals) + 1 if vals else 0
-        return cls(1, (), top, vals)
+        vals = [int(v) for v in values]
+        if min(vals, default=0) < 0:
+            raise SpecError("template members are natural numbers")
+        top = max(vals, default=-1) + 1
+        if top > _PERIOD_LIMIT:
+            raise SpecError(_LIMIT_ERROR)
+        return cls._from_masks(1, 0, top, _mask(vals, top))
 
     @classmethod
     def full(cls) -> "TemplateSet":

@@ -193,6 +193,37 @@ class TestCommands:
         assert code == 1
         assert "claim2-violated" in report_rows(report)["verdict"][0]
 
+    def test_comparable_family_rows(self, workdir):
+        # in sort_key order (mult 4, mult 8) is the first comparable pair,
+        # although (8k+2, 4k+2) comes first in the file
+        (workdir / "cmp.txt").write_text(
+            "family cmp\nclass template d=8 res=2\nclass template d=4 res=2\n"
+            "class odds\nclass mult 8\nclass mult 4\n"
+        )
+        free, fam = str(workdir / "free.txt"), str(workdir / "cmp.txt")
+        code, report = dispatch(["gentrunc", "verify-finitary", "--matroid", free, "--family", fam])
+        assert code == 1
+        pair = "template d=4 res=0 t=0, template d=8 res=0 t=0"
+        assert report_rows(report)["verdict"] == [f"violation(3; {pair})"]
+        for action in ("check-claims", "step"):
+            code, report = dispatch(["forcing", action, "--matroid", free, "--family", fam,
+                                     "--task", str(workdir / "task.txt")])
+            assert code == 2
+            assert pair.replace(", ", " and ") in report_rows(report)["error"][0]
+
+    def test_equivalent_classes_refused(self, workdir):
+        # evens with 0 swapped for 1 names the class of evens
+        (workdir / "same.txt").write_text(
+            "family same\nclass mult 4\nclass evens\nclass template d=2 res=0 t=2 low=1\n"
+        )
+        free, fam = str(workdir / "free.txt"), str(workdir / "same.txt")
+        task = ["--task", str(workdir / "task.txt")]
+        for argv in (["gentrunc", "verify-finitary"], ["forcing", "check-claims", *task],
+                     ["forcing", "step", *task]):
+            code, report = dispatch([*argv, "--matroid", free, "--family", fam])
+            assert code == 2
+            assert "name the same class" in report_rows(report)["error"][0]
+
     def test_forcing_seed(self, workdir):
         out = workdir / "seed.txt"
         code, report = dispatch([

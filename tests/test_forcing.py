@@ -104,6 +104,16 @@ class TestClaims:
         with pytest.raises(FamilyError):
             check_claim_preconditions(FREE, fam, make_task(FREE, EMPTY, ODDS))
 
+    def test_family_of_another_schema_refused(self):
+        # evens and odds are incomparable on FREE but parallel classes on PAIRS
+        fam = free_family(EVENS, ODDS)
+        task = make_task(PAIRS, EMPTY, MULT4)
+        for other in (PAIRS, FreeMatroid()):
+            with pytest.raises(FamilyError):
+                check_claim_preconditions(other, fam, task)
+            with pytest.raises(FamilyError):
+                forcing_step(other, fam, task, 2)
+
 
 class TestDenseGain:
     def test_worked_example(self):

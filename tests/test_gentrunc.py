@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,8 @@ from matroid_forge import (
     check_base_axioms,
     enumerate_gen_truncations,
     enumerate_raw,
+    find_comparable_pair,
+    seed_family,
     truncate_to,
     verify_family,
     verify_family_finitary,
@@ -24,6 +27,8 @@ from matroid_forge import (
 EVENS = TemplateSet(2, [0])
 ODDS = TemplateSet(2, [1])
 FREE = FreeMatroid()
+PAIRS = PeriodicSumMatroid(UniformMatroid(1, 2))
+SEED_PREFIXES = [format(v, f"0{length}b") for length in range(1, 7) for v in range(1 << length)]
 
 
 def pairs_of(n):
@@ -178,6 +183,30 @@ class TestFamilyType:
         fam = TruncationFamily.build(FREE, [ODDS, TemplateSet(4, [0])])
         assert list(fam) == sorted(fam, key=TemplateSet.sort_key)
 
+    @pytest.mark.parametrize("schema", [FREE, PAIRS, PeriodicSumMatroid(UniformMatroid(2, 3))],
+                             ids=["free", "u12-blocks", "u23-blocks"])
+    def test_comparable_is_first_comparable_pair(self, schema):
+        # merged seed families of the prefixes of criterion 9: each prefix
+        # alone, with one of its extensions (incomparable) and with three
+        # seeded partners (comparable when they differ at a common position);
+        # `build` gets the representatives unsorted
+        rng = random.Random(7)
+        seeds = {s: list(seed_family(schema, s)) for s in SEED_PREFIXES}
+        for s in SEED_PREFIXES:
+            longer = [t for t in SEED_PREFIXES if len(t) > len(s) and t.startswith(s)]
+            partners = [s] + rng.sample(longer, min(1, len(longer))) + rng.sample(SEED_PREFIXES, 3)
+            for t in partners:
+                merged = list(dict.fromkeys(seeds[t] + seeds[s]))
+                fam = TruncationFamily.build(schema, merged)
+                expected = find_comparable_pair(schema, sorted(merged, key=TemplateSet.sort_key))
+                assert fam.comparable == expected, (s, t)
+
+    def test_equivalent_pair_raises_after_a_comparable_one(self):
+        # sorted, (evens, mult 4) is comparable first; the equivalent pair comes last
+        mult4 = TemplateSet(4, [0])
+        with pytest.raises(FamilyError, match="name the same class"):
+            TruncationFamily.build(FREE, [EVENS, mult4, mult4.patch(add=[1], remove=[0])])
+
 
 def odds_below(n):
     return range(1, n, 2)
@@ -212,14 +241,25 @@ class TestVerifyFamilyFinitary:
             def class_member(self, rep, lower, upper=None):
                 return ODDS  # not in the class of evens
 
-        fam = TruncationFamily.build(FREE, [EVENS])
+        misreporting = Misreporting()
+        fam = TruncationFamily.build(misreporting, [EVENS])
         with pytest.raises(SchemaError):
-            verify_family_finitary(Misreporting(), fam, [(TemplateSet.empty(), EVENS)])
+            verify_family_finitary(misreporting, fam, [(TemplateSet.empty(), EVENS)])
 
     def test_comparable_representatives_flagged(self):
         fam = TruncationFamily.build(FREE, [EVENS, TemplateSet(4, [0]).patch(add=[1])])
         out = verify_family_finitary(FREE, fam, [])
         assert out.verdict.tag == "3"
+
+    def test_family_of_another_schema_refused(self):
+        # evens and odds are incomparable on FREE but parallel classes on PAIRS
+        fam = TruncationFamily.build(FREE, [EVENS, ODDS])
+        assert verify_family_finitary(FREE, fam, []).ok
+        with pytest.raises(FamilyError, match="name the same class"):
+            TruncationFamily.build(PAIRS, [EVENS, ODDS])
+        for other in (PAIRS, FreeMatroid()):
+            with pytest.raises(FamilyError):
+                verify_family_finitary(other, fam, [])
 
     def test_conditions_on_periodic(self):
         pairs = PeriodicSumMatroid(UniformMatroid(1, 2))

@@ -555,6 +555,19 @@ def test_bitset_matches_reference_on_select():
         _assert_same_outcome(lambda: carrier.select(few), lambda: rcarrier.select(few))
 
 
+def test_from_finite_matches_constructor():
+    # same canonical fields, or the same SpecError, as `TemplateSet(1, (), max + 1, values)`
+    rng = random.Random(63)
+    cases = [[], [0], [999_999], [1_000_000], [999_999, 0, 999_999], [-1], [1_000_000, -1]]
+    for _ in range(200):
+        top = rng.choice((1, 8, 70, 300, 1_000_001))
+        cases.append([rng.randrange(top) for _ in range(rng.randint(0, 12))])
+    for vals in cases:
+        top = max(vals) + 1 if vals else 0
+        _assert_same_outcome(lambda: TemplateSet.from_finite(iter(vals)),
+                             lambda: TemplateSet(1, (), top, vals))
+
+
 class TestLargeTemplates:
     """Inputs near the period limit that once took seconds; exact results only."""
 
