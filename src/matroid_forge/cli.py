@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from .core import FiniteMatroid, Verdict, check_base_axioms, fmt, size_order
+from .core import ExplicitMatroid, FiniteMatroid, Verdict, check_base_axioms, fmt, size_order
 from .equivalence import UNKNOWN, almost_spans, classify_class, strongly_equivalent
 from .errors import ClaimError, MatroidForgeError
 from .files import (
@@ -112,8 +112,27 @@ def _tri_exit(value) -> int:
     return EXIT_OK if value else EXIT_VIOLATION
 
 
-def _verdict_exit(verdict: Verdict) -> int:
-    return EXIT_OK if verdict.ok else EXIT_VIOLATION
+def _verdict_exit(report: Report, verdict: Verdict) -> int:
+    """Add the `verdict` row and return its exit code: the one place a verdict is rendered.
+
+    A forcing claim reads `claimN-violated(rep)` or
+    `task-satisfiable-directly(member)`; unmet task pairs (a `4` violation
+    whose witnesses are pairs) read `unmet tasks: N`, followed by one `unmet`
+    row per pair; any other verdict reads as `str(verdict)`.
+    """
+    tag, witness = verdict.tag, verdict.witness
+    unmet = witness if tag == "4" and isinstance(witness[0], tuple) else ()
+    if tag in ("claim1", "claim2"):
+        report.add("verdict", f"{tag}-violated({fmt(witness[0])})")
+    elif tag == "task-satisfiable-directly":
+        report.add("verdict", f"{tag}({fmt(witness[1])})")
+    elif unmet:
+        report.add("verdict", f"unmet tasks: {len(unmet)}")
+    else:
+        report.add("verdict", verdict)
+    for lower, upper in unmet:
+        report.add("unmet", f"lower=({fmt(lower)}) upper=({fmt(upper)})")
+    return EXIT_OK if verdict else EXIT_VIOLATION
 
 
 def _common_flags(parser: argparse.ArgumentParser, trailing: bool) -> None:
@@ -190,14 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_axioms(args, report: Report) -> int:
-    text = _read(args.matroid)
-    report.add_input("matroid", args.matroid)
-    matroid = parse_matroid_text(text)
-    if not isinstance(matroid, FiniteMatroid):
-        raise MatroidForgeError("axiom checking applies to finite matroids")
-    verdict = check_base_axioms(matroid.ground, matroid.bases())
-    report.add("verdict", verdict)
-    return _verdict_exit(verdict)
+    matroid = _load_finite(report, args.matroid)
+    return _verdict_exit(report, check_base_axioms(matroid.ground, matroid.bases()))
 
 
 def _cmd_truncate(args, report: Report) -> int:
@@ -253,11 +266,11 @@ def _cmd_gentrunc(args, report: Report) -> int:
         if mode != "finite":
             raise MatroidForgeError("finite matroids take `set`-style families")
         verdict = verify_family(matroid, members)
-        report.add("verdict", verdict)
+        code = _verdict_exit(report, verdict)
         if verdict.ok:
-            report.add("definition-check",
-                       verify_is_gen_truncation(matroid, _explicit_from(matroid, members)))
-        return _verdict_exit(verdict)
+            candidate = ExplicitMatroid(matroid.ground, members, name="candidate", _checked=True)
+            report.add("definition-check", verify_is_gen_truncation(matroid, candidate))
+        return code
     if args.action == "enumerate":
         matroid = _load_finite(report, args.matroid)
         families = enumerate_raw(matroid) if args.raw else enumerate_gen_truncations(matroid)
@@ -278,17 +291,7 @@ def _cmd_gentrunc(args, report: Report) -> int:
     if args.tasks:
         report.add_input("tasks", args.tasks)
         tasks = [(lo, up) for _, lo, up in parse_tasks_text(_read(args.tasks))]
-    outcome = verify_family_finitary(matroid, family, tasks)
-    report.add("verdict", outcome)
-    for lower, upper in outcome.unmet_tasks:
-        report.add("unmet", f"lower=({lower.directive()}) upper=({upper.directive()})")
-    return EXIT_OK if outcome.ok else EXIT_VIOLATION
-
-
-def _explicit_from(matroid: FiniteMatroid, members):
-    from .core import ExplicitMatroid
-
-    return ExplicitMatroid(matroid.ground, members, name="candidate", _checked=True)
+    return _verdict_exit(report, verify_family_finitary(matroid, family, tasks))
 
 
 def _cmd_forcing(args, report: Report) -> int:
@@ -317,27 +320,22 @@ def _cmd_forcing(args, report: Report) -> int:
     task = make_task(matroid, lower, upper)
     report.add("task", name)
     if args.action == "check-claims":
-        outcome = check_claim_preconditions(matroid, family, task)
-        report.add("verdict", outcome)
-        return EXIT_OK if outcome.ok else EXIT_VIOLATION
+        return _verdict_exit(report, check_claim_preconditions(matroid, family, task))
     try:
         cert = forcing_step(matroid, family, task, args.depth)
     except ClaimError as exc:
-        report.add("verdict", exc.result)
-        return EXIT_VIOLATION
+        return _verdict_exit(report, exc.result)
     for line in cert.lines():
         key, _, value = line.partition(" ")
         report.add(key, value)
-    report.add("verdict", "ok")
-    return EXIT_OK
+    return _verdict_exit(report, Verdict.passed())
 
 
 def _cmd_selftest(args, report: Report) -> int:
-    suite = lemma_suite(args.seed) if args.action == "lemmas" else oracle_suite(args.seed)
-    failed = False
-    for name, ok, detail in suite:
-        report.add("check", f"{name} {'ok' if ok else 'FAIL ' + detail}")
-        failed = failed or not ok
+    suite = lemma_suite(args.seed) if args.action == "lemmas" else oracle_suite()
+    for name, subject, verdict in suite:
+        report.add("check", f"{name} ok" if verdict else f"{name} FAIL {subject!r}: {verdict}")
+    failed = not all(verdict for _, _, verdict in suite)
     report.add("verdict", "FAIL" if failed else "ok")
     return EXIT_VIOLATION if failed else EXIT_OK
 

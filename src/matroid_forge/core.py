@@ -117,12 +117,13 @@ class Verdict:
 
 
 def fmt(value) -> str:
-    """Compact human-readable rendering for witnesses and reports."""
+    """Compact human-readable rendering for witnesses and reports; templates print as directives."""
     if isinstance(value, frozenset):
         return "{" + ",".join(str(v) for v in sorted(value)) + "}"
     if isinstance(value, (set, tuple, list)):
         return "(" + ",".join(fmt(v) for v in value) + ")"
-    return str(value)
+    directive = getattr(value, "directive", None)
+    return directive() if directive else str(value)
 
 
 class FiniteMatroid:
@@ -286,9 +287,6 @@ class FiniteMatroid:
 
     def bases_set(self) -> frozenset:
         return frozenset(self.bases())
-
-    def same_matroid(self, other: "FiniteMatroid") -> bool:
-        return self.ground == other.ground and self.bases_set() == other.bases_set()
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} on {fmt(self.ground)}>"

@@ -40,7 +40,10 @@ class FamilyError(MatroidForgeError):
 
 
 class ClaimError(MatroidForgeError):
-    """A forcing step was attempted while its structural preconditions fail."""
+    """A forcing step was attempted while its structural preconditions fail.
+
+    `result` is the failing `Verdict` of `check_claim_preconditions`.
+    """
 
     def __init__(self, result):
         self.result = result

@@ -20,6 +20,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
+from .core import Verdict
 from .errors import ClaimError, FamilyError, SchemaError, SpecError, TaskError
 from .finitary import INFINITE, FinitaryMatroid, removal_witness
 from .gentrunc import TruncationFamily, class_member
@@ -81,42 +82,19 @@ def make_task(matroid: FinitaryMatroid, lower, upper) -> Task:
     return Task(lo, up)
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    """Outcome of the structural precondition check for one step.
-
-    status is one of 'ok', 'claim1-violated', 'claim2-violated',
-    'task-satisfiable-directly'.  The first claim says no class
-    representative is almost spanned by the task's lower set; the second
-    says none almost spans the task's upper set.  When the first violating
-    representative's class has a member that settles the task outright (lies
-    between its sets or contains the upper set) and that member is not the
-    representative itself, the satisfier is reported instead.
-    """
-
-    status: str
-    violator: TemplateSet | None = None
-    satisfier: TemplateSet | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        if self.status == "task-satisfiable-directly":
-            return f"task-satisfiable-directly({self.satisfier.directive()})"
-        return f"{self.status}({self.violator.directive()})"
-
-
 def check_claim_preconditions(
     matroid: FinitaryMatroid,
     family: TruncationFamily,
     task: Task,
-) -> ClaimResult:
+) -> Verdict:
     """Verify the two structural claims a step needs, on the representatives.
 
+    Claim 1 says no class representative is almost spanned by the task's
+    lower set, claim 2 that none almost spans its upper set; a violation is
+    tagged `claim1` or `claim2` with the first violating representative.
+    When that representative's class has another member that settles the
+    task outright (lies between its sets or contains the upper set), the tag
+    is `task-satisfiable-directly` with witness (representative, member).
     Compatibility of almost-spanning with strong equivalence makes the
     representative check sufficient for the whole classes.  A family built
     on another schema or with a comparable pair is a caller error, not a verdict.
@@ -131,12 +109,12 @@ def check_claim_preconditions(
     )
     claim, rep = next(violators, (None, None))
     if rep is None:
-        return ClaimResult("ok")
+        return Verdict.passed()
     between = class_member(matroid, rep, task.lower, task.upper)
     satisfier = between or class_member(matroid, rep, task.upper)
     if satisfier is not None and satisfier != rep:
-        return ClaimResult("task-satisfiable-directly", rep, satisfier)
-    return ClaimResult(f"claim{claim}-violated", rep)
+        return Verdict.violation("task-satisfiable-directly", rep, satisfier)
+    return Verdict.violation(f"claim{claim}", rep)
 
 
 def _check_domain(condition: Condition, task: Task) -> None:
@@ -298,7 +276,7 @@ def forcing_step(
     if depth < 0:
         raise SpecError("depth must be a natural number")
     claims = check_claim_preconditions(matroid, family, task)
-    if not claims.ok:
+    if not claims:
         raise ClaimError(claims)
     gain_reps = [r for r in family if matroid.relative_rank(task.lower, r) != INFINITE]
     guard_reps = [r for r in family if matroid.relative_rank(r, task.upper) != INFINITE]

@@ -210,25 +210,6 @@ class TruncationFamily:
         return iter(self.representatives)
 
 
-@dataclass(frozen=True)
-class FinitaryFamilyVerdict:
-    """Outcome of the task-relative family check on a countable schema."""
-
-    verdict: Verdict
-    unmet_tasks: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict.ok and not self.unmet_tasks
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        if not self.verdict.ok:
-            return str(self.verdict)
-        return f"unmet tasks: {len(self.unmet_tasks)}"
-
-
 def _normalize_task_pair(matroid: FinitaryMatroid, pair) -> tuple[TemplateSet, TemplateSet]:
     lower = matroid.require_independent(pair[0])
     upper = matroid.require_independent(pair[1])
@@ -259,18 +240,19 @@ def verify_family_finitary(
     matroid: FinitaryMatroid,
     family: TruncationFamily,
     tasks: Sequence = (),
-) -> FinitaryFamilyVerdict:
+) -> Verdict:
     """Task-relative family check on a countable schema.
 
     Conditions 1-2 (certified independence, pairwise non-equivalence) hold
     by construction of the family, which must be built on `matroid`; condition
-    3 (pairwise incomparability) reads its recorded pair.  Condition 4 is
-    checked for the supplied task pairs only, decided exactly by `class_member`.
+    3 (pairwise incomparability) reads its recorded pair, the witness of a `3`
+    violation.  Condition 4 is checked for the supplied task pairs only,
+    decided exactly by `class_member`; a `4` violation carries every unmet
+    (lower, upper) pair in task order.
     """
     family.require_schema(matroid)
     if family.comparable is not None:
-        return FinitaryFamilyVerdict(
-            Verdict.violation("3", *(rep.directive() for rep in family.comparable)))
+        return Verdict.violation("3", *family.comparable)
     unmet = []
     for raw in tasks:
         lower, upper = _normalize_task_pair(matroid, raw)
@@ -280,4 +262,4 @@ def verify_family_finitary(
             for rep in family
         ):
             unmet.append((lower, upper))
-    return FinitaryFamilyVerdict(Verdict.passed(), tuple(unmet))
+    return Verdict.violation("4", *unmet) if unmet else Verdict.passed()

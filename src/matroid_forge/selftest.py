@@ -1,23 +1,137 @@
-"""Built-in invariant suites, runnable from the CLI.
+"""The invariant library: each law of the workbench written once.
 
-These are quick confidence checks over a small built-in corpus; the full
-acceptance suite lives in the test tree.  Every check returns (name, ok,
-detail) so the CLI can print one line per check and fail on the first red.
+Every invariant returns a `Verdict`: passed, or a violation whose witness
+replays the first counterexample found.  `lemma_suite` and `oracle_suite`
+run them over a small built-in corpus for `matroid-forge selftest`; the test
+suite imports the same functions and runs them over its full corpus.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
+from typing import Iterable, Iterator
 
-from .core import UniformMatroid, GraphicMatroid, ExplicitMatroid, check_base_axioms
+from .core import (
+    ExplicitMatroid,
+    FiniteMatroid,
+    GraphicMatroid,
+    UniformMatroid,
+    Verdict,
+    size_order,
+)
 from .equivalence import almost_spans, relative_rank_difference_check, strongly_equivalent
-from .finitary import FreeMatroid, PeriodicSumMatroid
-from .gentrunc import enumerate_gen_truncations, enumerate_raw, verify_family
+from .finitary import FinitaryMatroid, FreeMatroid, PeriodicSumMatroid
+from .gentrunc import RAW_ENUM_MAX_INDEP, enumerate_gen_truncations, enumerate_raw, family_sort_key
 from .templates import TemplateSet
-from .truncation import truncate_to, cotruncate
+from .truncation import cotruncate, truncate_to
+
+Chain = tuple[frozenset, frozenset, frozenset]
 
 
-def _mini_corpus():
+def every_chain(ground: Iterable[int]) -> Iterator[Chain]:
+    """Every chain (A, B, C) with C <= B <= A <= ground: one per 4-way split of the elements."""
+    order = sorted(ground)
+    for sides in product(range(4), repeat=len(order)):
+        yield tuple(frozenset(e for e, s in zip(order, sides) if s >= k) for k in (1, 2, 3))
+
+
+def sampled_chains(ground: Iterable[int], rng: random.Random, count: int) -> Iterator[Chain]:
+    """`count` random chains (A, B, C): each set keeps each element of the next larger one
+    (of `ground` for A) with chance 0.6."""
+    order = sorted(ground)
+    for _ in range(count):
+        a = frozenset(e for e in order if rng.random() < 0.6)
+        b = frozenset(e for e in a if rng.random() < 0.6)
+        c = frozenset(e for e in b if rng.random() < 0.6)
+        yield a, b, c
+
+
+def chain_additivity(matroid: FiniteMatroid, chains: Iterable[Chain]) -> Verdict:
+    """Relative rank adds along chains: r(A|C) = r(B|C) + r(A|B); witness (A, B, C)."""
+    rr = matroid.relative_rank
+    for a, b, c in chains:
+        if rr(a, c) != rr(b, c) + rr(a, b):
+            return Verdict.violation("additivity", a, b, c)
+    return Verdict.passed()
+
+
+def cotruncation_meets_truncation(matroid: FiniteMatroid) -> Verdict:
+    """Deleting k elements from every base gives the truncation to rank r - k; witness (k,)."""
+    r = matroid.full_rank
+    for steps in range(1, r + 1):
+        if cotruncate(matroid, steps).bases_set() != truncate_to(matroid, r - steps).bases_set():
+            return Verdict.violation("cotruncation", steps)
+    return Verdict.passed()
+
+
+def balanced_difference_law(matroid: FiniteMatroid) -> Verdict:
+    """Independent A and B are strongly equivalent iff |A - B| = |B - A|, that is iff they
+    have equal size; witness (A, B)."""
+    indep = matroid.independent_sets()
+    for a in indep:
+        for b in indep:
+            if bool(strongly_equivalent(matroid, a, b)) != (len(a - b) == len(b - a)):
+                return Verdict.violation("balanced-difference", a, b)
+    return Verdict.passed()
+
+
+def difference_check_law(matroid: FiniteMatroid) -> Verdict:
+    """`relative_rank_difference_check(A, B, X)` holds iff A and B are strongly equivalent,
+    for all independent A, B and every X containing both; witness (A, B, X)."""
+    indep = matroid.independent_sets()
+    for a in indep:
+        for b in indep:
+            equivalent = bool(strongly_equivalent(matroid, a, b))
+            rest = sorted(matroid.ground - a - b)
+            for mask in range(1 << len(rest)):
+                x = a | b | {e for i, e in enumerate(rest) if mask >> i & 1}
+                if relative_rank_difference_check(matroid, a, b, x) != equivalent:
+                    return Verdict.violation("difference-check", a, b, x)
+    return Verdict.passed()
+
+
+def restriction_agreement(schema: FinitaryMatroid, sizes: Iterable[int], rng: random.Random,
+                          count: int, density: float) -> Verdict:
+    """Template relative ranks equal those of the finite restriction to {0, ..., n-1}, on
+    `count` random pairs per size n (each element drawn with chance `density`); witness (n, X, Y)."""
+    for n in sizes:
+        finite = schema.restrict(n)
+        for _ in range(count):
+            xs = frozenset(e for e in range(n) if rng.random() < density)
+            ys = frozenset(e for e in range(n) if rng.random() < density)
+            if schema.relative_rank(xs, ys) != finite.relative_rank(xs, ys):
+                return Verdict.violation("restriction", n, xs, ys)
+    return Verdict.passed()
+
+
+def enumeration_matches_raw(matroid: FiniteMatroid) -> Verdict:
+    """The level enumeration lists exactly the families of `enumerate_raw`; witness: the
+    first family (as its members in size order) that only one of them lists."""
+    differ = set(enumerate_gen_truncations(matroid)) ^ set(enumerate_raw(matroid))
+    if not differ:
+        return Verdict.passed()
+    first = min(differ, key=family_sort_key)
+    return Verdict.violation("enumeration", tuple(sorted(first, key=size_order)))
+
+
+def _almost_spanning_examples(pairs: PeriodicSumMatroid) -> Verdict:
+    """Worked cases on the free matroid and on `pairs`; witness (case index,)."""
+    free = FreeMatroid()
+    evens, odds = TemplateSet(2, [0]), TemplateSet(2, [1])
+    cases = [
+        almost_spans(free, TemplateSet.from_finite({0, 2}), odds),
+        not almost_spans(free, evens, odds),
+        almost_spans(pairs, evens, odds),
+        strongly_equivalent(pairs, evens, odds),
+    ]
+    for i, held in enumerate(cases):
+        if not held:
+            return Verdict.violation("example", i)
+    return Verdict.passed()
+
+
+def _mini_corpus() -> list[FiniteMatroid]:
     return [
         UniformMatroid(2, 4),
         UniformMatroid(1, 3),
@@ -26,110 +140,37 @@ def _mini_corpus():
     ]
 
 
-def lemma_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
+SuiteRow = tuple[str, object, Verdict]
+
+
+def _first_violation(name: str, subjects: Iterable, law) -> SuiteRow:
+    """(name, first subject the law fails on or None, its verdict)."""
+    for subject in subjects:
+        verdict = law(subject)
+        if not verdict:
+            return name, subject, verdict
+    return name, None, Verdict.passed()
+
+
+def lemma_suite(seed: int = 0) -> list[SuiteRow]:
+    """The `selftest lemmas` rows, in order; `seed` drives the sampled laws."""
     rng = random.Random(seed)
-    results = []
-
-    ok = True
-    detail = ""
-    for m in _mini_corpus():
-        order = sorted(m.ground)
-        for _ in range(500):
-            a = frozenset(e for e in order if rng.random() < 0.6)
-            b = frozenset(e for e in a if rng.random() < 0.6)
-            c = frozenset(e for e in b if rng.random() < 0.6)
-            if m.relative_rank(a, c) != m.relative_rank(b, c) + m.relative_rank(a, b):
-                ok, detail = False, f"{m.name}: chain {sorted(c)}<{sorted(b)}<{sorted(a)}"
-                break
-    results.append(("relative-rank-additivity", ok, detail))
-
-    ok = True
-    detail = ""
-    for m in _mini_corpus():
-        for steps in range(1, m.full_rank + 1):
-            lit = cotruncate(m, steps).bases_set()
-            via = truncate_to(m, m.full_rank - steps).bases_set()
-            if lit != via:
-                ok, detail = False, f"{m.name} steps={steps}"
-                break
-    results.append(("cotruncation-meets-truncation", ok, detail))
-
-    ok = True
-    detail = ""
-    for m in _mini_corpus():
-        indep = m.independent_sets()
-        for a in indep:
-            for b in indep:
-                expected = len(a) == len(b)
-                if bool(strongly_equivalent(m, a, b)) != expected:
-                    ok, detail = False, f"{m.name}: {sorted(a)} vs {sorted(b)}"
-                    break
-    results.append(("finite-equivalence-is-equal-size", ok, detail))
-
-    ok = True
-    detail = ""
-    m = UniformMatroid(2, 4)
-    indep = m.independent_sets()
-    for a in indep:
-        for b in indep:
-            agree = relative_rank_difference_check(m, a, b, m.ground)
-            if agree != (m.relative_rank(m.ground, a) == m.relative_rank(m.ground, b)):
-                ok, detail = False, f"{sorted(a)} vs {sorted(b)}"
-    results.append(("relative-rank-difference-check", ok, detail))
-
-    ok = True
-    detail = ""
-    free = FreeMatroid()
+    corpus = _mini_corpus()
     pairs = PeriodicSumMatroid(UniformMatroid(1, 2))
-    evens = TemplateSet(2, [0])
-    odds = TemplateSet(2, [1])
-    checks = [
-        (almost_spans(free, TemplateSet.from_finite({0, 2}), odds), True),
-        (almost_spans(free, evens, odds), False),
-        (almost_spans(pairs, evens, odds), True),
-        (strongly_equivalent(pairs, evens, odds), True),
+    table = [
+        ("relative-rank-additivity", corpus,
+         lambda m: chain_additivity(m, sampled_chains(m.ground, rng, 500))),
+        ("cotruncation-meets-truncation", corpus, cotruncation_meets_truncation),
+        ("finite-equivalence-is-equal-size", corpus, balanced_difference_law),
+        ("relative-rank-difference-check", [UniformMatroid(2, 4)], difference_check_law),
+        ("template-almost-spanning", [pairs], _almost_spanning_examples),
+        ("template-vs-restriction-rank", [pairs],
+         lambda s: restriction_agreement(s, (8, 16, 32), rng, 200, 0.3)),
     ]
-    for got, want in checks:
-        if bool(got) != want:
-            ok, detail = False, f"got {got}, wanted {want}"
-    results.append(("template-almost-spanning", ok, detail))
-
-    ok = True
-    detail = ""
-    for n in (8, 16, 32):
-        finite = pairs.restrict(n)
-        for _ in range(200):
-            xs = frozenset(e for e in range(n) if rng.random() < 0.3)
-            ys = frozenset(e for e in range(n) if rng.random() < 0.3)
-            want = finite.relative_rank(xs, ys)
-            got = pairs.relative_rank(xs, ys)
-            if got != want:
-                ok, detail = False, f"n={n} X={sorted(xs)} Y={sorted(ys)}"
-                break
-    results.append(("template-vs-restriction-rank", ok, detail))
-    return results
+    return [_first_violation(*row) for row in table]
 
 
-def oracle_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
-    results = []
-    ok = True
-    detail = ""
-    for m in _mini_corpus():
-        if len(m.independent_sets()) > 16:
-            continue
-        fast = {frozenset(f) for f in enumerate_gen_truncations(m)}
-        raw = {frozenset(f) for f in enumerate_raw(m)}
-        if fast != raw:
-            ok, detail = False, m.name
-            break
-    results.append(("enumeration-matches-raw-oracle", ok, detail))
-
-    ok = True
-    detail = ""
-    for m in _mini_corpus():
-        for fam in enumerate_gen_truncations(m):
-            if not verify_family(m, fam) or not check_base_axioms(m.ground, fam):
-                ok, detail = False, m.name
-                break
-    results.append(("enumerated-families-revalidate", ok, detail))
-    return results
+def oracle_suite() -> list[SuiteRow]:
+    """The `selftest oracle` rows: fast enumeration against the raw oracle where it is in bounds."""
+    small = [m for m in _mini_corpus() if len(m.independent_sets()) <= RAW_ENUM_MAX_INDEP]
+    return [_first_violation("enumeration-matches-raw-oracle", small, enumeration_matches_raw)]

@@ -141,11 +141,11 @@ class TemplateSet:
 
     @classmethod
     def full(cls) -> "TemplateSet":
-        return cls(1, (0,))
+        return cls._from_masks(1, 1, 0, 0)
 
     @classmethod
     def empty(cls) -> "TemplateSet":
-        return cls(1, ())
+        return cls._from_masks(1, 0, 0, 0)
 
     @classmethod
     def coerce(cls, value) -> "TemplateSet":

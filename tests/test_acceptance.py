@@ -20,7 +20,6 @@ from matroid_forge import (
     check_base_axioms,
     check_claim_preconditions,
     enumerate_gen_truncations,
-    enumerate_raw,
     find_comparable_pair,
     forcing_step,
     make_task,
@@ -34,6 +33,15 @@ from matroid_forge import (
 )
 from matroid_forge.cli import dispatch
 from matroid_forge.files import emit_matroid_text, parse_matroid_text
+from matroid_forge.selftest import (
+    balanced_difference_law,
+    chain_additivity,
+    difference_check_law,
+    enumeration_matches_raw,
+    every_chain,
+    restriction_agreement,
+    sampled_chains,
+)
 
 
 def _passed(number: int, name: str) -> None:
@@ -68,9 +76,7 @@ def test_criterion_1_family_definition_bridge(corpus_unique, bridge_families):
 
 def test_criterion_2_enumeration_oracle(corpus_enumerable):
     for name, m in corpus_enumerable:
-        fast = {frozenset(f) for f in enumerate_gen_truncations(m)}
-        raw = {frozenset(f) for f in enumerate_raw(m)}
-        assert fast == raw, name
+        assert enumeration_matches_raw(m).ok, name
     _passed(2, "enumeration equals raw oracle")
 
 
@@ -98,24 +104,9 @@ def test_criterion_4_equivalence_laws(corpus_small):
                     if eq[i][j] and eq[j][l]:
                         assert eq[i][l], name
         # balanced-difference law, both directions, all pairs
-        for i in range(k):
-            for j in range(k):
-                balanced = len(indep[i] - indep[j]) == len(indep[j] - indep[i])
-                assert eq[i][j] == balanced, name
+        assert balanced_difference_law(m).ok, name
         # overrank comparison law, both directions, all pairs and enclosures
-        for i in range(k):
-            for j in range(k):
-                union = indep[i] | indep[j]
-                rest = sorted(m.ground - union)
-                witnessed = False
-                for mask in range(1 << len(rest)):
-                    x = union | {rest[t] for t in range(len(rest)) if mask >> t & 1}
-                    same = m.relative_rank(x, indep[i]) == m.relative_rank(x, indep[j])
-                    if eq[i][j]:
-                        assert same, name  # forward direction
-                    witnessed = witnessed or same
-                if witnessed:
-                    assert eq[i][j], name  # backward direction
+        assert difference_check_law(m).ok, name
         # compatibility of almost-spanning with equivalence, sampled
         rng = random.Random(f"obs4-{name}")
         by_size: dict[int, list] = {}
@@ -131,32 +122,14 @@ def test_criterion_4_equivalence_laws(corpus_small):
 
 
 def test_criterion_5_relative_rank_additivity(corpus_unique, corpus_wide):
+    # every chain C <= B <= A on grounds of at most 6 elements
     for name, m in corpus_unique:
-        if len(m.ground) > 6:
-            continue
-        order = sorted(m.ground)
-        # every chain C <= B <= A, encoded by a 4-way split of the ground set
-        for code in range(4 ** len(order)):
-            a, b, c = set(), set(), set()
-            rem = code
-            for e in order:
-                rem, side = divmod(rem, 4)
-                if side >= 1:
-                    a.add(e)
-                if side >= 2:
-                    b.add(e)
-                if side == 3:
-                    c.add(e)
-            assert m.relative_rank(a, c) == m.relative_rank(b, c) + m.relative_rank(a, b), name
+        if len(m.ground) <= 6:
+            assert chain_additivity(m, every_chain(m.ground)).ok, name
     rng = random.Random("r3-wide")
     for name, m in corpus_wide:
         assert len(m.ground) <= 10, name
-        order = sorted(m.ground)
-        for _ in range(100_000):
-            a = frozenset(e for e in order if rng.random() < 0.6)
-            b = frozenset(e for e in a if rng.random() < 0.6)
-            c = frozenset(e for e in b if rng.random() < 0.6)
-            assert m.relative_rank(a, c) == m.relative_rank(b, c) + m.relative_rank(a, b), name
+        assert chain_additivity(m, sampled_chains(m.ground, rng, 100_000)).ok, name
     _passed(5, "relative-rank additivity")
 
 
@@ -168,12 +141,7 @@ def test_criterion_6_template_restriction_agreement():
     ]
     rng = random.Random("restrict")
     for schema in schemas:
-        for size in (8, 16, 32, 64):
-            finite = schema.restrict(size)
-            for _ in range(1000):
-                xs = frozenset(e for e in range(size) if rng.random() < 0.35)
-                ys = frozenset(e for e in range(size) if rng.random() < 0.35)
-                assert schema.relative_rank(xs, ys) == finite.relative_rank(xs, ys)
+        assert restriction_agreement(schema, (8, 16, 32, 64), rng, 1000, 0.35).ok, schema
     _passed(6, "template ranks agree with finite restrictions")
 
 

@@ -1,9 +1,22 @@
 import json
+import random
 import time
 
 import pytest
 
-from matroid_forge import UniformMatroid
+from matroid_forge import (
+    ExplicitMatroid,
+    FreeMatroid,
+    OracleMatroid,
+    UniformMatroid,
+    cotruncate,
+    enumerate_gen_truncations,
+    enumerate_raw,
+    relative_rank_difference_check,
+    strongly_equivalent,
+    truncate_to,
+)
+from matroid_forge import selftest as st
 from matroid_forge.cli import EXIT_UNKNOWN, EXIT_USAGE, _run, build_parser, dispatch, main
 from matroid_forge.equivalence import UNKNOWN
 from matroid_forge.cli import _tri_exit
@@ -15,6 +28,17 @@ def report_rows(report):
     for k, v in report.rows:
         out.setdefault(k, []).append(v)
     return out
+
+
+def verdict_lines(capsys, argv):
+    """(exit code, `verdict` and `unmet` lines of the text report); JSON must agree."""
+    code = main(argv)
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith(("verdict ", "unmet "))]
+    assert main(["--json", *argv]) == code
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [f"{k} {v}" for k, v in rows if k in ("verdict", "unmet")] == lines
+    return code, lines
 
 
 @pytest.fixture()
@@ -162,14 +186,13 @@ class TestCommands:
         assert code == 0
         assert report_rows(report)["definition-check"] == ["ok"]
 
-    def test_gentrunc_verify_finitary(self, workdir):
-        code, report = dispatch([
-            "gentrunc", "verify-finitary", "--matroid", str(workdir / "free.txt"),
-            "--family", str(workdir / "fam.txt"),
-            "--tasks", str(workdir / "task.txt"),
-        ])
-        assert code == 1  # [mult 4] cannot settle (empty, odds)
-        assert "unmet" in report_rows(report)
+    def test_gentrunc_verify_finitary(self, workdir, capsys):
+        argv = ["gentrunc", "verify-finitary", "--matroid", str(workdir / "free.txt"),
+                "--family", str(workdir / "fam.txt")]
+        assert verdict_lines(capsys, argv) == (0, ["verdict ok"])
+        # [mult 4] cannot settle (empty, odds)
+        assert verdict_lines(capsys, [*argv, "--tasks", str(workdir / "task.txt")]) == (1, [
+            "verdict unmet tasks: 1", "unmet lower=(set ) upper=(template d=2 res=1 t=0)"])
 
     def test_forcing_step(self, workdir):
         code, report = dispatch([
@@ -183,17 +206,23 @@ class TestCommands:
         assert got["condition"] == ["{1->1, 3->1, 5->1}"]
         assert len([m for m in got["met"]]) == 3
 
-    def test_forcing_claims_violation(self, workdir):
+    def test_forcing_claims_violation(self, workdir, capsys):
+        # evens with 0 swapped for 1 has evens in its class, which settles (evens, all)
         (workdir / "full.txt").write_text("family whole\nclass all\n")
-        code, report = dispatch([
-            "forcing", "check-claims", "--matroid", str(workdir / "free.txt"),
-            "--family", str(workdir / "full.txt"),
-            "--task", str(workdir / "task.txt"),
-        ])
-        assert code == 1
-        assert "claim2-violated" in report_rows(report)["verdict"][0]
+        (workdir / "swap.txt").write_text("family swap\nclass template d=2 res=0 t=2 low=1\n")
+        (workdir / "wide.txt").write_text("task t1\nlower evens\nupper all\n")
+        cases = [
+            ("full.txt", "task.txt", "claim2-violated(template d=1 res=0 t=0)"),
+            ("fam.txt", "wide.txt", "claim1-violated(template d=4 res=0 t=0)"),
+            ("swap.txt", "wide.txt", "task-satisfiable-directly(template d=2 res=0 t=0)"),
+        ]
+        for family, task, verdict in cases:
+            for action in ("check-claims", "step"):  # step reports its ClaimError
+                argv = ["forcing", action, "--matroid", str(workdir / "free.txt"),
+                        "--family", str(workdir / family), "--task", str(workdir / task)]
+                assert verdict_lines(capsys, argv) == (1, [f"verdict {verdict}"])
 
-    def test_comparable_family_rows(self, workdir):
+    def test_comparable_family_rows(self, workdir, capsys):
         # in sort_key order (mult 4, mult 8) is the first comparable pair,
         # although (8k+2, 4k+2) comes first in the file
         (workdir / "cmp.txt").write_text(
@@ -201,10 +230,9 @@ class TestCommands:
             "class odds\nclass mult 8\nclass mult 4\n"
         )
         free, fam = str(workdir / "free.txt"), str(workdir / "cmp.txt")
-        code, report = dispatch(["gentrunc", "verify-finitary", "--matroid", free, "--family", fam])
-        assert code == 1
         pair = "template d=4 res=0 t=0, template d=8 res=0 t=0"
-        assert report_rows(report)["verdict"] == [f"violation(3; {pair})"]
+        argv = ["gentrunc", "verify-finitary", "--matroid", free, "--family", fam]
+        assert verdict_lines(capsys, argv) == (1, [f"verdict violation(3; {pair})"])
         for action in ("check-claims", "step"):
             code, report = dispatch(["forcing", action, "--matroid", free, "--family", fam,
                                      "--task", str(workdir / "task.txt")])
@@ -234,8 +262,59 @@ class TestCommands:
         assert "class" in out.read_text()
 
     def test_selftest(self, workdir):
-        assert dispatch(["selftest", "lemmas"])[0] == 0
-        assert dispatch(["selftest", "oracle"])[0] == 0
+        lemmas = ["relative-rank-additivity", "cotruncation-meets-truncation",
+                  "finite-equivalence-is-equal-size", "relative-rank-difference-check",
+                  "template-almost-spanning", "template-vs-restriction-rank"]
+        for action, names in (("lemmas", lemmas), ("oracle", ["enumeration-matches-raw-oracle"])):
+            code, report = dispatch(["selftest", action])
+            assert code == 0
+            assert report_rows(report)["check"] == [f"{name} ok" for name in names]
+
+
+class Skewed(UniformMatroid):
+    """A uniform matroid whose relative rank counts element 1 twice."""
+
+    def relative_rank(self, xs, ys):
+        return super().relative_rank(xs, ys) + (1 in xs)
+
+
+class OffByOne(FreeMatroid):
+    def relative_rank(self, xs, ys):
+        return super().relative_rank(xs, ys) + 1
+
+
+SKEWED, OFF_BY_ONE = Skewed(2, 4), OffByOne()
+LOPSIDED = ExplicitMatroid({1, 2, 3}, [{1, 2}, {3}], _checked=True)  # bases break exchange
+DROPPING = OracleMatroid({1, 2}, lambda s: len(s) % 2)  # r({1, 2}) = 0 < r({1})
+rr = SKEWED.relative_rank
+
+# tag -> (the invariant on a wrong input, whether its law fails on the witness alone)
+WRONG_INPUTS = {
+    "additivity": (lambda: st.chain_additivity(SKEWED, st.every_chain(SKEWED.ground)),
+                   lambda a, b, c: rr(a, c) != rr(b, c) + rr(a, b)),
+    "cotruncation": (lambda: st.cotruncation_meets_truncation(LOPSIDED),
+                     lambda k: cotruncate(LOPSIDED, k).bases_set()
+                     != truncate_to(LOPSIDED, LOPSIDED.full_rank - k).bases_set()),
+    "balanced-difference": (lambda: st.balanced_difference_law(SKEWED),
+                            lambda a, b: bool(strongly_equivalent(SKEWED, a, b))
+                            != (len(a) == len(b))),
+    "difference-check": (lambda: st.difference_check_law(SKEWED),
+                         lambda a, b, x: relative_rank_difference_check(SKEWED, a, b, x)
+                         != bool(strongly_equivalent(SKEWED, a, b))),
+    "restriction": (lambda: st.restriction_agreement(OFF_BY_ONE, (8,), random.Random(0), 10, 0.3),
+                    lambda n, xs, ys: OFF_BY_ONE.relative_rank(xs, ys)
+                    != OFF_BY_ONE.restrict(n).relative_rank(xs, ys)),
+    "enumeration": (lambda: st.enumeration_matches_raw(DROPPING),
+                    lambda members: (frozenset(members) in enumerate_gen_truncations(DROPPING))
+                    != (frozenset(members) in enumerate_raw(DROPPING))),
+}
+
+
+@pytest.mark.parametrize("tag", WRONG_INPUTS)
+def test_invariant_flags_wrong_input(tag):
+    run, fails_on = WRONG_INPUTS[tag]
+    verdict = run()
+    assert verdict.tag == tag and fails_on(*verdict.witness)
 
 
 class TestReports:

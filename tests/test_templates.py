@@ -556,7 +556,10 @@ def test_bitset_matches_reference_on_select():
 
 
 def test_from_finite_matches_constructor():
-    # same canonical fields, or the same SpecError, as `TemplateSet(1, (), max + 1, values)`
+    # same canonical fields, or the same SpecError, as `TemplateSet(1, (), max + 1, values)`;
+    # likewise `empty()` and `full()` as `TemplateSet(1, ())` and `TemplateSet(1, (0,))`
+    _assert_same_outcome(TemplateSet.empty, lambda: TemplateSet(1, ()))
+    _assert_same_outcome(TemplateSet.full, lambda: TemplateSet(1, (0,)))
     rng = random.Random(63)
     cases = [[], [0], [999_999], [1_000_000], [999_999, 0, 999_999], [-1], [1_000_000, -1]]
     for _ in range(200):
