@@ -8,6 +8,13 @@ boundary and in witnesses.  Enumerations and witnesses follow the (size,
 sorted elements) order, which is not the (popcount, mask) order: {1,4}
 comes before {2,3}.
 
+The two exhaustive checks, `check_base_masks` here and
+`gentrunc.verify_family_masks`, take members as int masks sorted by
+`size_keys`; the frozenset functions `check_base_axioms` and
+`gentrunc.verify_family` are thin wrappers in front of them that normalise
+the input, check the ground and the declared bound, and convert to masks.
+The cores read no environment and check no bound: their callers do, once.
+
 An explicit base list is quarantined: the constructor refuses it unless the
 literal base axioms hold, so every matroid object in the system can be
 trusted to answer rank queries consistently.
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
@@ -52,6 +59,58 @@ def size_order(xs: frozenset) -> tuple:
     return len(xs), tuple(sorted(xs))
 
 
+@cache
+def size_keys(n: int) -> tuple[int, ...]:
+    """Sort key of every n-bit mask, ordered as `size_order` orders the sets they stand for.
+
+    Of two sets of one size, the one holding the lowest element they do not
+    share comes first.  That element is the highest differing bit of the
+    bit-reversed masks, so the key is the popcount followed by the
+    complemented bit reversal.
+    """
+    full = (1 << n) - 1
+    rev = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        rev[m] = rev[m >> 1] >> 1 | (m & 1) << (n - 1)
+    return tuple(m.bit_count() << n | full ^ r for m, r in enumerate(rev))
+
+
+def size_sorted(masks: Iterable[int], n: int) -> list[int]:
+    """The distinct masks over n positions, in (size, sorted elements) order."""
+    return sorted(set(masks), key=size_keys(n).__getitem__)
+
+
+@cache
+def _lacking(n: int) -> tuple[int, ...]:
+    """For each position i < n, the 2^n-bit pattern whose bit S is set iff S lacks i.
+
+    Runs of 2^i set bits alternate with 2^i clear ones; the pattern is tiled
+    by doubling.
+    """
+    patterns = []
+    for i in range(n):
+        pattern, width = (1 << (1 << i)) - 1, 2 << i
+        while width < 1 << n:
+            pattern |= pattern << width
+            width <<= 1
+        patterns.append(pattern)
+    return tuple(patterns)
+
+
+def upward_closure(masks: Iterable[int], n: int) -> int:
+    """The 2^n-bit int whose bit S is set iff some member lies inside S.
+
+    The members' own bits are set first; step i then adds i to every set
+    that lacks it, one shift-or per position.
+    """
+    table = 0
+    for m in masks:
+        table |= 1 << m
+    for i, lacking in enumerate(_lacking(n)):
+        table |= (table & lacking) << (1 << i)
+    return table
+
+
 def masks_of_size(n: int, k: int) -> Iterator[int]:
     """The k-subsets of positions 0..n-1 as masks, in (size, sorted elements) order."""
     for c in combinations(range(n), k):
@@ -60,7 +119,12 @@ def masks_of_size(n: int, k: int) -> Iterator[int]:
 
 def elements_of(mask: int, order: tuple[int, ...]) -> frozenset:
     """The elements of `order` at the positions set in `mask`."""
-    return frozenset(e for i, e in enumerate(order) if mask >> i & 1)
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(order[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(found)
 
 
 def growth_masks(members: Iterable[int]) -> dict[int, int]:
@@ -409,12 +473,14 @@ class ExplicitMatroid(FiniteMatroid):
         fam = frozenset(self._subset(b, "base") for b in bases)
         if not fam:
             raise SpecError("an explicit matroid needs at least one base")
-        if not _checked:
-            verdict = check_base_axioms(self.ground, fam)
-            if not verdict:
-                raise SpecError(f"base family rejected: {verdict}")
         self._bases = fam
         self._base_masks = tuple(map(self.mask_of, fam))
+        if not _checked:
+            n = len(self._order)
+            check_bound("axiom check", n, AXIOM_CHECK_MAX_GROUND)
+            verdict = check_base_masks(self._order, size_sorted(self._base_masks, n))
+            if not verdict:
+                raise SpecError(f"base family rejected: {verdict}")
 
     def _rank_of(self, mask: int) -> int:
         return max((mask & b).bit_count() for b in self._base_masks)
@@ -463,35 +529,70 @@ class OracleMatroid(FiniteMatroid):
 def check_base_axioms(ground: Iterable[int], family: Iterable[Iterable[int]]) -> Verdict:
     """Literal check of the base axioms for a finite set family.
 
+    Normalises the ground and the members, refuses a ground past the declared
+    bound and a member outside the ground (the first such in size order),
+    and runs `check_base_masks` on the members as masks over the sorted
+    ground.  There B2 is one bit test per (member, element) on the family's
+    upward-closure table, and BM an ascent along growth masks from every
+    trace to a maximal one; its docstring proves both exact.
+    """
+    order = tuple(sorted({int(e) for e in ground}))
+    check_bound("axiom check", len(order), AXIOM_CHECK_MAX_GROUND)
+    bit_of = {e: 1 << i for i, e in enumerate(order)}
+    masks, outside = [], []
+    for b in family:
+        m = 0
+        for e in b:
+            # int(e) only for an element that is not already an int of the ground
+            bit = bit_of.get(e) or bit_of.get(int(e))
+            if bit is None:
+                outside.append(b)
+                break
+            m |= bit
+        else:
+            masks.append(m)
+    if outside:
+        b = min((frozenset(int(e) for e in b) for b in outside), key=size_order)
+        raise GroundError(f"family member {fmt(b)} lies outside the ground set")
+    return check_base_masks(order, size_sorted(masks, len(order)))
+
+
+def check_base_masks(order: tuple[int, ...], masks: list[int]) -> Verdict:
+    """The base axioms on distinct member masks over `order`, sorted by `size_keys`.
+
     Verifies non-emptiness (B1), the pairwise exchange axiom (B2), and - for
     every subset X of the ground set - that the maximal traces X & B are
     cofinal among all traces (BM).  On a finite ground BM cannot fail, but the
     contract is to check it as written: every X is visited and every trace of
     X is held against the maximal traces of X.  Violations carry a witness
-    that replays the failure.  Members are visited in (size, sorted elements)
-    order, so the first violation found is the same whatever the input order.
+    that replays the failure.  Members are visited in (size, sorted
+    elements) order, so the first violation found is the same whatever the
+    input order.
 
-    Sets are int masks over the sorted ground.  Only the test of maximality
-    is not the textbook one: a trace t = X & B is maximal among the traces of
-    X iff no e in X - t has t + e inside some member, i.e. iff
-    `grow[t] & X == 0` for the growth masks of the family (`growth_masks`).
-    Proof, valid for any family: if t < X & B' then every e in (X & B') - t
-    has t + e inside B'; conversely, if t + e lies inside B' with e in X - t,
-    then X & B' contains t + e and so strictly contains t.
+    B2 is decided by one bit test per (member, element) on the upward-closure
+    table T of the family (`upward_closure`).  For x in B0, let Y be the
+    elements y outside B0 with B0 - x + y a member.  A member B1 breaks
+    exchange at x iff x is not in B1 and B1 - B0 misses Y, i.e. iff B1 lies
+    inside S = ground - x - Y; some member does iff bit S of T is set.  The
+    set x + Y is exactly `up[B0 - x]`, the elements y with B0 - x + y a
+    member (x is one, as B0 is a member).  On the first member B0 with a
+    hit, the pairwise scan runs for B0 alone and names the same (B0, B1, x)
+    as a scan over all pairs would.
+
+    BM: a trace t = X & B is maximal among the traces of X iff no e in
+    X - t has t + e inside some member, i.e. iff `grow[t] & X == 0` for the
+    growth masks of the family (`growth_masks`).  From each trace t the
+    check ascends by adding the lowest bit of `grow[u] & X` until none is
+    left, and requires the end point u to be a trace of X.  It is one: u
+    lies inside X and inside some member B', so u <= X & B', and any e in
+    (X & B') - u has u + e inside B', so e would be in `grow[u] & X`; hence
+    u = X & B'.  The loop's exit makes u maximal, and u contains t.
     """
-    g = frozenset(int(e) for e in ground)
-    check_bound("axiom check", len(g), AXIOM_CHECK_MAX_GROUND)
-    members = sorted({frozenset(int(e) for e in b) for b in family}, key=size_order)
-    for b in members:
-        if not b <= g:
-            raise GroundError(f"family member {fmt(b)} lies outside the ground set")
-    if not members:
+    if not masks:
         return Verdict.violation("B1")
-    order = tuple(sorted(g))
-    pos = {e: i for i, e in enumerate(order)}
-    masks = [sum(1 << pos[e] for e in b) for b in members]
+    n = len(order)
+    full = (1 << n) - 1
 
-    # B2: for x in b0 - b1 some y in b1 - b0 has b0 - x + y in the family;
     # up[d] holds every y with d + y a member
     up: dict[int, int] = {}
     for b in masks:
@@ -500,23 +601,35 @@ def check_base_axioms(ground: Iterable[int], family: Iterable[Iterable[int]]) ->
             bit = rest & -rest
             rest ^= bit
             up[b ^ bit] = up.get(b ^ bit, 0) | bit
-    for b0, m0 in zip(members, masks):
-        for b1, m1 in zip(members, masks):
+    table = upward_closure(masks, n)
+    for m0 in masks:
+        rest = m0
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            if table >> (full & ~up[m0 ^ x]) & 1:
+                break
+        else:
+            continue
+        for m1 in masks:
             only_b1 = m1 & ~m0
             missing = m0 & ~m1
             while missing:
                 x = missing & -missing
                 missing ^= x
                 if not up[m0 ^ x] & only_b1:
-                    return Verdict.violation("B2", b0, b1, order[x.bit_length() - 1])
+                    return Verdict.violation("B2", elements_of(m0, order),
+                                             elements_of(m1, order), order[x.bit_length() - 1])
 
     grow = growth_masks(masks)
-    for x in range(1 << len(order)):
-        traces = {x & b for b in masks}
-        maximal = [t for t in traces if not grow[t] & x]
+    for x in range(1 << n):
+        traces = set(map(x.__and__, masks))
         for t in traces:
-            # a maximal trace lies below itself; any other needs a maximal one above it
-            if grow[t] & x and not any(t | s == s for s in maximal):
+            u, g = t, grow[t] & x
+            while g:
+                u |= g & -g
+                g = grow[u] & x
+            if u not in traces:
                 return Verdict.violation("BM", elements_of(x, order), elements_of(t, order))
     return Verdict.passed()
 

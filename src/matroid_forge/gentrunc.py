@@ -23,12 +23,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
+    AXIOM_CHECK_MAX_GROUND,
     FiniteMatroid,
     Verdict,
-    check_base_axioms,
+    check_base_masks,
     check_bound,
     growth_masks,
     size_order,
+    size_sorted,
+    upward_closure,
 )
 from .equivalence import strongly_equivalent
 from .errors import BoundError, FamilyError, SchemaError, TaskError
@@ -40,53 +43,64 @@ LEVEL_ENUM_MAX_GROUND = 10
 RAW_ENUM_MAX_INDEP = 16
 
 
-def _sorted_family(matroid: FiniteMatroid, family: Iterable[Iterable[int]]) -> list[frozenset]:
-    fam = {matroid._subset(b, "family member") for b in family}
-    return sorted(fam, key=size_order)
-
-
 def verify_family(matroid: FiniteMatroid, family: Iterable[Iterable[int]]) -> Verdict:
     """Check the four base-family conditions for a generalised truncation.
+
+    Refuses a ground past the declared bound and a member outside the
+    ground, then runs `verify_family_masks` on the distinct members as masks.
+    There condition 3 (no member inside span(B - e)) is one bit test on the
+    family's upward-closure table per member B and element e.
+    """
+    check_bound("family verification", len(matroid.ground), VERIFY_FAMILY_MAX_GROUND)
+    masks = (matroid.mask_of(matroid._subset(b, "family member")) for b in family)
+    return verify_family_masks(matroid, size_sorted(masks, len(matroid.ground)))
+
+
+def verify_family_masks(matroid: FiniteMatroid, masks: list[int]) -> Verdict:
+    """The four base-family conditions on distinct member masks sorted by `size_keys`.
 
     Violations carry (condition tag, witness tuple) and replay: condition 2
     witnesses are (member, missing same-size independent), condition 3
     witnesses are (member, spanned member, proper subset), condition 4
-    witnesses are the unsettled nested pair (I, J).  The loops run on masks;
-    members and witnesses are frozensets.
-    """
-    check_bound("family verification", len(matroid.ground), VERIFY_FAMILY_MAX_GROUND)
-    fam = _sorted_family(matroid, family)
+    witnesses are the unsettled nested pair (I, J).  Witnesses are
+    frozensets.
 
-    if not fam:
+    Condition 3 asks whether some member lies inside span(B - e); that is
+    bit span(B - e) of the family's upward-closure table (`upward_closure`).
+    On the first hit, the members are scanned for the first one inside that
+    span, which is the witness a scan of every member would give.
+    """
+    if not masks:
         return Verdict.violation("1")
-    masks = [matroid.mask_of(b) for b in fam]
-    for b, m in zip(fam, masks):
+    for m in masks:
         if not matroid.independent_mask(m):
-            return Verdict.violation("1", b)
+            return Verdict.violation("1", matroid.set_of(m))
 
     indep = matroid.independent_masks()
 
     # no proper subset of a member may span a member; spanning is monotone,
     # so checking the maximal proper subsets suffices
-    for b, m in zip(fam, masks):
+    table = upward_closure(masks, len(matroid.ground))
+    for m in masks:
         rest = m
         while rest:
             bit = rest & -rest
             rest ^= bit
             span = matroid.span_mask(m ^ bit)
-            for other, om in zip(fam, masks):
-                if om & ~span == 0:
-                    return Verdict.violation("3", b, other, matroid.set_of(m ^ bit))
+            if table >> span & 1:
+                other = next(om for om in masks if om & ~span == 0)
+                return Verdict.violation("3", matroid.set_of(m), matroid.set_of(other),
+                                         matroid.set_of(m ^ bit))
 
     # balanced finite exchange: for finite sets, |B-B'| = |B'-B| means equal size
     by_size: dict[int, list[int]] = {}
     for s in indep:
         by_size.setdefault(s.bit_count(), []).append(s)
     member_set = set(masks)
-    for b, m in zip(fam, masks):
+    for m in masks:
         for other in by_size[m.bit_count()]:
             if other not in member_set:
-                return Verdict.violation("2", b, matroid.set_of(other))
+                return Verdict.violation("2", matroid.set_of(m), matroid.set_of(other))
 
     # nested-pair condition, exhaustive over independent I <= J
     below_member = growth_masks(masks)  # keys: the sets inside some member
@@ -137,24 +151,29 @@ def enumerate_gen_truncations(matroid: FiniteMatroid) -> list[frozenset]:
     Balanced-exchange closure forces any candidate to be a union of complete
     size levels of the independent sets (equal finite differences mean equal
     size), so only those unions are generated; each survivor is re-validated
-    by `verify_family` and by the literal base axioms.  `enumerate_raw` is
-    the shortcut-free oracle this reduction is tested against.
+    by `verify_family_masks` and by the literal base axioms.  The families
+    stay masks until the survivors are returned.  `enumerate_raw` is the
+    shortcut-free oracle this reduction is tested against.
     """
-    check_bound("level enumeration", len(matroid.ground), LEVEL_ENUM_MAX_GROUND)
+    n = len(matroid.ground)
+    check_bound("level enumeration", n,
+                min(LEVEL_ENUM_MAX_GROUND, VERIFY_FAMILY_MAX_GROUND, AXIOM_CHECK_MAX_GROUND))
     r = matroid.full_rank
-    levels: list[frozenset] = []
-    for size in range(r + 1):
-        levels.append(frozenset(s for s in matroid.independent_sets() if len(s) == size))
-    found: list[frozenset] = []
-    for mask in range(1, 1 << len(levels)):
-        fam = frozenset().union(*(levels[i] for i in range(len(levels)) if mask >> i & 1))
-        if verify_family(matroid, fam):
-            found.append(fam)
-    for fam in found:
-        axioms = check_base_axioms(matroid.ground, fam)
+    levels: list[list[int]] = [[] for _ in range(r + 1)]
+    for m in matroid.independent_masks():
+        # a rank oracle that is no matroid may call larger sets independent
+        if m.bit_count() <= r:
+            levels[m.bit_count()].append(m)
+    found: list[list[int]] = []
+    for choice in range(1, 1 << len(levels)):
+        masks = [m for i, level in enumerate(levels) if choice >> i & 1 for m in level]
+        if verify_family_masks(matroid, masks):
+            found.append(masks)
+    for masks in found:
+        axioms = check_base_masks(matroid._order, masks)
         if not axioms:
             raise FamilyError(f"enumerated family fails base axioms: {axioms}")
-    return sorted(found, key=family_sort_key)
+    return sorted((frozenset(map(matroid.set_of, masks)) for masks in found), key=family_sort_key)
 
 
 def enumerate_raw(matroid: FiniteMatroid) -> list[frozenset]:

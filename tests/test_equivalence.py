@@ -16,7 +16,6 @@ from matroid_forge import (
     relative_rank_difference_check,
     strongly_equivalent,
 )
-from matroid_forge.selftest import balanced_difference_law, difference_check_law
 
 EVENS = TemplateSet(2, [0])
 ODDS = TemplateSet(2, [1])
@@ -70,10 +69,6 @@ class TestStronglyEquivalent:
         half_a = TemplateSet(4, [0])
         assert not strongly_equivalent(PAIRS, TemplateSet(2, [0]), half_a)
 
-    def test_finite_matroid_is_equal_size(self, corpus_small):
-        for name, m in corpus_small:
-            assert balanced_difference_law(m).ok, name
-
     def test_equivalence_relation_on_small(self, corpus_small):
         for name, m in corpus_small:
             if len(m.ground) > 4:
@@ -120,12 +115,6 @@ class TestRelativeRankDifference:
     def test_containment_enforced(self):
         with pytest.raises(GroundError):
             relative_rank_difference_check(UniformMatroid(2, 4), {1}, {2}, {1, 3})
-
-    def test_forward_lemma_on_corpus(self, corpus_small):
-        # equivalent sets see every enclosing set at the same relative rank
-        for name, m in corpus_small:
-            if len(m.ground) <= 4:
-                assert difference_check_law(m).ok, name
 
 
 class TestComparablePairs:

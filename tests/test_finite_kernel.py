@@ -9,17 +9,27 @@ the same enumeration order.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from matroid_forge import (
+    ExplicitMatroid,
     UniformMatroid,
     Verdict,
     check_base_axioms,
     truncate_to,
     verify_family,
 )
-from matroid_forge.core import AXIOM_CHECK_MAX_GROUND, exhaustive_bound, fmt, growth_masks
-from matroid_forge.errors import BoundError, GroundError
+from matroid_forge.core import (
+    AXIOM_CHECK_MAX_GROUND,
+    exhaustive_bound,
+    fmt,
+    growth_masks,
+    size_keys,
+    upward_closure,
+)
+from matroid_forge.errors import BoundError, GroundError, SpecError
 from matroid_forge.gentrunc import VERIFY_FAMILY_MAX_GROUND
 
 
@@ -175,6 +185,37 @@ class TestAxiomCheck:
             tags.add(want.tag)
         assert {None, "B1", "B2"} <= tags
 
+    def test_explicit_quarantine(self, corpus_unique):
+        # the constructor runs the mask core on its own base masks: the same
+        # accept or reject, with the reference's verdict in the message
+        outcomes = set()
+        for name, m in corpus_unique:
+            for fam in perturbations(m):
+                want = reference_check_base_axioms(m.ground, fam)
+                if not fam:
+                    expected = "an explicit matroid needs at least one base"
+                else:
+                    expected = "accepted" if want.ok else f"base family rejected: {want}"
+                try:
+                    ExplicitMatroid(m.ground, fam)
+                    got = "accepted"
+                except SpecError as exc:
+                    got = str(exc)
+                assert got == expected, (name, fam)
+                outcomes.add(got.split("(")[0])
+        assert outcomes == {"accepted", "an explicit matroid needs at least one base",
+                            "base family rejected: violation"}
+
+    def test_upward_closure_against_brute_force(self):
+        rng = random.Random("upward-closure")
+        for n in range(13):
+            for size in (0, 1, 3, 12):
+                density = rng.uniform(0.1, 0.6)
+                masks = [sum(1 << i for i in range(n) if rng.random() < density)
+                         for _ in range(size)]
+                want = sum(1 << s for s in range(1 << n) if any(m & ~s == 0 for m in masks))
+                assert upward_closure(masks, n) == want, (n, masks)
+
     def test_input_order_and_duplicates_ignored(self):
         fam = [{2, 3}, {1, 2}, {1}, {2, 3}]
         want = reference_check_base_axioms({1, 2, 3}, fam)
@@ -208,6 +249,12 @@ class TestEnumerationOrder:
     def test_independent_sets(self, corpus_unique, corpus_wide):
         for name, m in corpus_unique + corpus_wide:
             assert m.independent_sets() == reference_independent_sets(m), name
+
+    def test_size_keys_follow_size_order(self):
+        for n in range(9):
+            want = sorted(range(1 << n), key=lambda m: (
+                m.bit_count(), tuple(i for i in range(n) if m >> i & 1)))
+            assert sorted(range(1 << n), key=size_keys(n).__getitem__) == want, n
 
     def test_order_is_not_mask_order(self):
         # (size, sorted elements) puts {1,4} before {2,3}; (popcount, mask) would not
