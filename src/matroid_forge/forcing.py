@@ -123,37 +123,50 @@ def _check_domain(condition: Condition, task: Task) -> None:
         raise SpecError(f"condition domain must lie inside the task gap; {sorted(stray)} do not")
 
 
+def _gain_rank(matroid: FinitaryMatroid, condition: Condition, rep: TemplateSet, task: Task):
+    """Relative rank of the condition's 1-part over the representative."""
+    return matroid.relative_rank(TemplateSet.from_finite(condition.ones), rep)
+
+
+def _guard_rank(matroid: FinitaryMatroid, condition: Condition, rep: TemplateSet, task: Task):
+    """Relative rank of the representative over the upper set less the 0-part."""
+    return matroid.relative_rank(rep, task.upper - TemplateSet.from_finite(condition.zeros))
+
+
 def dense_extend_gain(
     matroid: FinitaryMatroid,
     condition: Condition,
     rep: TemplateSet,
     level: int,
     task: Task,
-) -> Condition:
+) -> tuple[Condition, int | float]:
     """Weakest-effort extension into the gain dense set for (rep, level).
 
     Forces fresh gap elements to 1, smallest id first, until the 1-part has
-    relative rank at least `level` over the representative.  Requires the
-    lower set to be almost spanned by the representative and an infinite
-    independent-over-rep pool inside the gap (which the step preconditions
-    guarantee).  Never touches already-assigned elements.
+    relative rank at least `level` over the representative, and returns the
+    extension with that rank.  Requires the lower set to be almost spanned
+    by the representative and an infinite independent-over-rep pool inside
+    the gap (which the step preconditions guarantee).  Never touches
+    already-assigned elements.
     """
     _check_domain(condition, task)
     if matroid.relative_rank(task.lower, rep) == INFINITE:
         raise SpecError("gain extension needs the lower set almost spanned by the representative")
-    if matroid.relative_rank(TemplateSet.from_finite(condition.ones), rep) >= level:
-        return condition
+    rank = _gain_rank(matroid, condition, rep, task)
+    if rank >= level:
+        return condition, rank
     pool = matroid.max_independent_subtemplate(task.gap - rep, over=rep)
     if not pool.is_infinite:
         raise SchemaError("no infinite independent pool over the representative")
     current = condition
     members = pool.iter_members()
-    while matroid.relative_rank(TemplateSet.from_finite(current.ones), rep) < level:
+    while rank < level:
         e = next(m for m in members if m not in current.domain)
         current = current.assign([e], 1)
+        rank = _gain_rank(matroid, current, rep, task)
     if not current.extends(condition):
         raise SchemaError("gain extension altered the given condition")
-    return current
+    return current, rank
 
 
 def dense_extend_guard(
@@ -162,24 +175,21 @@ def dense_extend_guard(
     rep: TemplateSet,
     level: int,
     task: Task,
-) -> Condition:
+) -> tuple[Condition, int | float]:
     """Weakest-effort extension into the guard dense set for (rep, level).
 
     Forces a finite removal witness to 0 so the representative keeps
-    relative rank at least `level` over the remaining upper set.  Requires
-    the representative to almost span into the upper set and an infinite
-    part of it independent over the lower set.
+    relative rank at least `level` over the remaining upper set, and returns
+    the extension with that rank, checked afresh after the witness is
+    forced.  Requires the representative to almost span into the upper set
+    and an infinite part of it independent over the lower set.
     """
     _check_domain(condition, task)
     if matroid.relative_rank(rep, task.upper) == INFINITE:
         raise SpecError("guard extension needs the representative to almost span the upper set")
-
-    def achieved(cond: Condition) -> bool:
-        left = task.upper - TemplateSet.from_finite(cond.zeros)
-        return matroid.relative_rank(rep, left) >= level
-
-    if achieved(condition):
-        return condition
+    rank = _guard_rank(matroid, condition, rep, task)
+    if rank >= level:
+        return condition, rank
     core = matroid.max_independent_subtemplate(rep, over=task.lower)
     if not core.is_infinite:
         raise SchemaError("representative collapses over the lower set")
@@ -189,9 +199,10 @@ def dense_extend_guard(
     extended = condition.assign(witness, 0)
     if not extended.extends(condition):
         raise SchemaError("guard extension altered the given condition")
-    if not achieved(extended):
+    rank = _guard_rank(matroid, extended, rep, task)
+    if rank < level:
         raise SchemaError("guard extension failed verification")
-    return extended
+    return extended, rank
 
 
 @dataclass(frozen=True)
@@ -241,21 +252,26 @@ class StepCertificate:
 
 
 def verify_certificate(matroid: FinitaryMatroid, cert: StepCertificate) -> bool:
-    """Independently recompute every inequality a certificate claims."""
-    ones = TemplateSet.from_finite(cert.condition.ones)
-    left = cert.task.upper - TemplateSet.from_finite(cert.condition.zeros)
-    for entry in cert.met:
-        if entry.kind == "gain":
-            if matroid.relative_rank(ones, entry.rep) < entry.level:
-                return False
-        else:
-            if matroid.relative_rank(entry.rep, left) < entry.level:
-                return False
-    for rep, value in cert.gain_evidence:
-        if matroid.relative_rank(ones, rep) < cert.depth or value < cert.depth:
-            return False
-    for rep, value in cert.guard_evidence:
-        if matroid.relative_rank(rep, left) < cert.depth or value < cert.depth:
+    """Independently recompute every inequality a certificate claims.
+
+    Each distinct (kind, representative) rank is computed once, from the
+    certificate's condition and task, and must reach the largest level any
+    met entry claims for that pair and, for an evidence pair, the depth.
+    Every recorded evidence value must also reach the depth; no other
+    recorded value is trusted.
+    """
+    evidence = [("gain", rep, value) for rep, value in cert.gain_evidence]
+    evidence += [("guard", rep, value) for rep, value in cert.guard_evidence]
+    if any(value < cert.depth for _, _, value in evidence):
+        return False
+    claims = [(e.kind, e.rep, e.level) for e in cert.met]
+    claims += [(kind, rep, cert.depth) for kind, rep, _ in evidence]
+    need: dict = {}
+    for kind, rep, level in claims:
+        need[kind, rep] = max(need.get((kind, rep), level), level)
+    for (kind, rep), level in need.items():
+        rank_of = _gain_rank if kind == "gain" else _guard_rank
+        if rank_of(matroid, cert.condition, rep, cert.task) < level:
             return False
     return True
 
@@ -284,41 +300,24 @@ def forcing_step(
     met: list[DenseEvidence] = []
     for level in range(1, depth + 1):
         for rep in gain_reps:
-            grown = dense_extend_gain(matroid, condition, rep, level, task)
+            grown, value = dense_extend_gain(matroid, condition, rep, level, task)
             added = tuple((e, 1) for e in sorted(grown.ones - condition.ones))
-            value = matroid.relative_rank(TemplateSet.from_finite(grown.ones), rep)
             met.append(DenseEvidence("gain", rep, level, added, value))
             condition = grown
         for rep in guard_reps:
-            grown = dense_extend_guard(matroid, condition, rep, level, task)
+            grown, value = dense_extend_guard(matroid, condition, rep, level, task)
             added = tuple((e, 0) for e in sorted(grown.zeros - condition.zeros))
-            left = task.upper - TemplateSet.from_finite(grown.zeros)
-            value = matroid.relative_rank(rep, left)
             met.append(DenseEvidence("guard", rep, level, added, value))
             condition = grown
-    ones = TemplateSet.from_finite(condition.ones)
-    left = task.upper - TemplateSet.from_finite(condition.zeros)
-    gain_evidence = []
-    for rep in gain_reps:
-        value = matroid.relative_rank(ones, rep)
-        if value < depth:
-            raise SchemaError("gain evidence failed re-verification")
-        gain_evidence.append((rep, value))
-    guard_evidence = []
-    for rep in guard_reps:
-        value = matroid.relative_rank(rep, left)
-        if value < depth:
-            raise SchemaError("guard evidence failed re-verification")
-        guard_evidence.append((rep, value))
     cert = StepCertificate(
         depth=depth,
         task=task,
         condition=condition,
         met=tuple(met),
-        forced_in=task.lower | ones,
+        forced_in=task.lower | TemplateSet.from_finite(condition.ones),
         excluded=condition.zeros,
-        gain_evidence=tuple(gain_evidence),
-        guard_evidence=tuple(guard_evidence),
+        gain_evidence=tuple((r, _gain_rank(matroid, condition, r, task)) for r in gain_reps),
+        guard_evidence=tuple((r, _guard_rank(matroid, condition, r, task)) for r in guard_reps),
     )
     if not verify_certificate(matroid, cert):
         raise SchemaError("certificate failed independent re-verification")

@@ -76,8 +76,6 @@ def verify_family_masks(matroid: FiniteMatroid, masks: list[int]) -> Verdict:
         if not matroid.independent_mask(m):
             return Verdict.violation("1", matroid.set_of(m))
 
-    indep = matroid.independent_masks()
-
     # no proper subset of a member may span a member; spanning is monotone,
     # so checking the maximal proper subsets suffices
     table = upward_closure(masks, len(matroid.ground))
@@ -91,6 +89,8 @@ def verify_family_masks(matroid: FiniteMatroid, masks: list[int]) -> Verdict:
                 other = next(om for om in masks if om & ~span == 0)
                 return Verdict.violation("3", matroid.set_of(m), matroid.set_of(other),
                                          matroid.set_of(m ^ bit))
+
+    indep = matroid.independent_masks()
 
     # balanced finite exchange: for finite sets, |B-B'| = |B'-B| means equal size
     by_size: dict[int, list[int]] = {}

@@ -206,6 +206,45 @@ class TestCommands:
         assert got["condition"] == ["{1->1, 3->1, 5->1}"]
         assert len([m for m in got["met"]]) == 3
 
+        # both classes are gain and guard classes on the periodic sum; the
+        # depth-3 guard rows meet their dense sets with no new assignment
+        (workdir / "blocks.txt").write_text(
+            "family blocks\nclass template d=4 res=0\nclass template d=4 res=3\n")
+        (workdir / "blocktask.txt").write_text("task t\nlower set\nupper template d=4 res=0,3\n")
+        code, report = dispatch([
+            "forcing", "step", "--matroid", str(workdir / "ds.txt"),
+            "--family", str(workdir / "blocks.txt"),
+            "--task", str(workdir / "blocktask.txt"),
+            "--depth", "3",
+        ])
+        assert code == 0
+        got = report_rows(report)
+        a, b = "rep=(template d=4 res=0 t=0)", "rep=(template d=4 res=3 t=0)"
+        assert got["condition"] == [
+            "{0->1, 3->1, 4->0, 7->0, 8->1, 11->1, 12->0, 15->0, 16->0, 19->0, 20->1, 23->1}"]
+        assert got["met"] == [
+            f"gain {a} n=1 add=[3->1] rank=1",
+            f"gain {b} n=1 add=[0->1] rank=1",
+            f"guard {a} n=1 add=[4->0] rank=1",
+            f"guard {b} n=1 add=[7->0] rank=1",
+            f"gain {a} n=2 add=[11->1] rank=2",
+            f"gain {b} n=2 add=[8->1] rank=2",
+            f"guard {a} n=2 add=[12->0, 16->0] rank=3",
+            f"guard {b} n=2 add=[15->0, 19->0] rank=3",
+            f"gain {a} n=3 add=[23->1] rank=3",
+            f"gain {b} n=3 add=[20->1] rank=3",
+            f"guard {a} n=3 add=[-] rank=3",
+            f"guard {b} n=3 add=[-] rank=3",
+        ]
+        assert got["forced-in"] == ["set 0 3 8 11 20 23"]
+        assert got["excluded"] == ["{4,7,12,15,16,19}"]
+        assert got["evidence"] == [
+            f"gain {a} rank=3 >= 3",
+            f"gain {b} rank=3 >= 3",
+            f"guard {a} rank=3 >= 3",
+            f"guard {b} rank=3 >= 3",
+        ]
+
     def test_forcing_claims_violation(self, workdir, capsys):
         # evens with 0 swapped for 1 has evens in its class, which settles (evens, all)
         (workdir / "full.txt").write_text("family whole\nclass all\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from matroid_forge import (
@@ -119,26 +121,32 @@ class TestClaims:
 class TestDenseGain:
     def test_worked_example(self):
         task = make_task(FREE, EMPTY, ODDS)
-        q = dense_extend_gain(FREE, Condition(), MULT4, 2, task)
+        q, rank = dense_extend_gain(FREE, Condition(), MULT4, 2, task)
         assert q.ones == {1, 3} and not q.zeros
         assert FREE.relative_rank(TemplateSet.from_finite(q.ones), MULT4) == 2
+        assert rank == 2
 
     def test_level_zero_no_growth(self):
         task = make_task(FREE, EMPTY, ODDS)
         p = Condition()
-        assert dense_extend_gain(FREE, p, MULT4, 0, task) == p
+        q, rank = dense_extend_gain(FREE, p, MULT4, 0, task)
+        assert q == p
+        assert rank == FREE.relative_rank(TemplateSet.from_finite(q.ones), MULT4)
 
     def test_already_met_no_growth(self):
         task = make_task(FREE, EMPTY, ODDS)
         p = Condition(frozenset({1, 3}), frozenset())
-        assert dense_extend_gain(FREE, p, MULT4, 2, task) == p
+        q, rank = dense_extend_gain(FREE, p, MULT4, 2, task)
+        assert q == p
+        assert rank == FREE.relative_rank(TemplateSet.from_finite(q.ones), MULT4)
 
     def test_never_touches_domain(self):
         task = make_task(FREE, EMPTY, ODDS)
         p = Condition(frozenset({5}), frozenset({1}))
-        q = dense_extend_gain(FREE, p, MULT4, 3, task)
+        q, rank = dense_extend_gain(FREE, p, MULT4, 3, task)
         assert q.extends(p)
         assert q.ones & q.zeros == frozenset()
+        assert rank == FREE.relative_rank(TemplateSet.from_finite(q.ones), MULT4)
 
     def test_domain_outside_gap_rejected(self):
         task = make_task(FREE, EMPTY, ODDS)
@@ -150,20 +158,26 @@ class TestDenseGain:
 class TestDenseGuard:
     def test_worked_example(self):
         task = make_task(PAIRS, EMPTY, TemplateSet(2, [1]))
-        q = dense_extend_guard(PAIRS, Condition(), TemplateSet(2, [0]), 2, task)
+        q, rank = dense_extend_guard(PAIRS, Condition(), TemplateSet(2, [0]), 2, task)
         assert q.zeros == {1, 3} and not q.ones
         left = task.upper - TemplateSet.from_finite(q.zeros)
         assert PAIRS.relative_rank(TemplateSet(2, [0]), left) == 2
+        assert rank == 2
 
     def test_level_zero_no_growth(self):
         task = make_task(PAIRS, EMPTY, TemplateSet(2, [1]))
         p = Condition()
-        assert dense_extend_guard(PAIRS, p, TemplateSet(2, [0]), 0, task) == p
+        q, rank = dense_extend_guard(PAIRS, p, TemplateSet(2, [0]), 0, task)
+        assert q == p
+        assert rank == PAIRS.relative_rank(TemplateSet(2, [0]), task.upper)
 
     def test_already_met_no_growth(self):
         task = make_task(PAIRS, EMPTY, TemplateSet(2, [1]))
         p = Condition(frozenset(), frozenset({1, 3}))
-        assert dense_extend_guard(PAIRS, p, TemplateSet(2, [0]), 2, task) == p
+        q, rank = dense_extend_guard(PAIRS, p, TemplateSet(2, [0]), 2, task)
+        assert q == p
+        left = task.upper - TemplateSet.from_finite(q.zeros)
+        assert rank == PAIRS.relative_rank(TemplateSet(2, [0]), left)
 
 
 def dual_scenario():
@@ -201,6 +215,32 @@ class TestForcingStep:
         kinds = {(e.kind, e.rep.sort_key()) for e in cert.met}
         assert len({k for k, _ in kinds}) == 2  # both gain and guard evidence
         assert len(cert.gain_evidence) == 2 and len(cert.guard_evidence) == 2
+
+    def test_tampered_certificate_fails(self):
+        # each representative is both a gain and a guard representative; a
+        # checker that keyed its ranks by representative alone would accept
+        # one of the last two, which keep only the 1-part or only the 0-part
+        fam, task = dual_scenario()
+        cert = forcing_step(PAIRS, fam, task, 3)
+        met = list(cert.met)
+        gain_at = next(i for i, e in enumerate(met) if e.kind == "gain")
+        guard_at = next(i for i, e in enumerate(met) if e.kind == "guard")
+        (rep, _), *rest = cert.guard_evidence
+
+        def with_met(i, level):
+            return tuple(met[:i] + [replace(met[i], level=level)] + met[i + 1:])
+
+        tampered = [
+            replace(cert, met=with_met(gain_at, 99)),
+            replace(cert, met=with_met(guard_at, 99)),
+            replace(cert, guard_evidence=((rep, 1), *rest)),
+            replace(cert, condition=Condition()),
+            replace(cert, depth=50),
+            replace(cert, condition=Condition(ones=cert.condition.ones)),
+            replace(cert, condition=Condition(zeros=cert.condition.zeros)),
+        ]
+        assert verify_certificate(PAIRS, cert)
+        assert [verify_certificate(PAIRS, t) for t in tampered] == [False] * len(tampered)
 
     def test_monotone_in_depth(self):
         scenarios = [
