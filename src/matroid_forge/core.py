@@ -267,13 +267,26 @@ class FiniteMatroid:
             raise GroundError(f"{what} {fmt(s - self.ground)} lies outside the ground set")
         return s
 
+    def _subset_mask(self, xs: Iterable[int], what: str = "argument") -> int:
+        """`mask_of(_subset(xs, what))` in one lookup pass; a miss goes through
+        `_subset`, which coerces ids such as "1" or raises its GroundError."""
+        if type(xs) is not frozenset and iter(xs) is xs:
+            xs = tuple(xs)  # a one-shot iterator is read once
+        m, pos = 0, self._pos
+        try:
+            for e in xs:
+                m |= 1 << pos[e]
+        except (KeyError, TypeError):
+            return self.mask_of(self._subset(xs, what))
+        return m
+
     # -- core queries ----------------------------------------------------------
 
     def rank(self, xs: Iterable[int]) -> int:
-        return self.rank_mask(self.mask_of(self._subset(xs)))
+        return self.rank_mask(self._subset_mask(xs))
 
     def is_independent(self, xs: Iterable[int]) -> bool:
-        return self.independent_mask(self.mask_of(self._subset(xs)))
+        return self.independent_mask(self._subset_mask(xs))
 
     def relative_rank(self, xs: Iterable[int], ys: Iterable[int]) -> int:
         """Rank of X over Y: the rank of X - Y once Y is contracted.
@@ -281,8 +294,8 @@ class FiniteMatroid:
         Computed as r(X|Y) = r(X+Y) - r(Y); tests cross-check this against the
         contraction-minor route.
         """
-        x = self.mask_of(self._subset(xs, "first argument"))
-        y = self.mask_of(self._subset(ys, "second argument"))
+        x = self._subset_mask(xs, "first argument")
+        y = self._subset_mask(ys, "second argument")
         return self.rank_mask(x | y) - self.rank_mask(y)
 
     def spans(self, xs: Iterable[int], element: int) -> bool:
@@ -291,7 +304,7 @@ class FiniteMatroid:
         return self.relative_rank(e, s) == 0
 
     def span_of(self, xs: Iterable[int]) -> frozenset:
-        return self.set_of(self.span_mask(self.mask_of(self._subset(xs))))
+        return self.set_of(self.span_mask(self._subset_mask(xs)))
 
     @property
     def full_rank(self) -> int:

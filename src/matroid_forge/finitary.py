@@ -16,14 +16,13 @@ from math import gcd, inf, lcm
 from typing import Iterable
 
 from .core import FiniteMatroid, OracleMatroid
-from .errors import DependenceError, SchemaError, SpecError
+from .errors import DependenceError, SpecError
 from .templates import _PERIOD_LIMIT, TemplateSet
 
 INFINITE = inf
 
-# safety caps for searches whose success is guaranteed by matroid theory
+# input bound: the block analysis refuses a head of more blocks than this
 _HEAD_LIMIT = 100_000
-_EXCHANGE_SCAN_LIMIT = 100_000
 # blocks per run when `_blocks` slices a template's mask
 _RUN = 256
 
@@ -56,6 +55,10 @@ class FinitaryMatroid:
 
     def max_independent_subtemplate(self, template, over=None) -> TemplateSet:
         """Greedy (ascending-id) maximal subset independent over `over`, as a template."""
+        raise NotImplementedError
+
+    def _circuit_partner(self, grown, e, pool, base) -> int:
+        """Smallest f in pool whose removal makes grown (dependent, grown - e not) independent."""
         raise NotImplementedError
 
     def class_member(self, rep, lower, upper=None) -> TemplateSet | None:
@@ -235,6 +238,12 @@ class PeriodicSumMatroid(FinitaryMatroid):
         chosen = [self._extend(0, tp, self.block, op) for tp, op in blocks]
         return self._template(chosen, head, cycle)
 
+    def _circuit_partner(self, grown, e, pool, base) -> int:
+        start, rank = e - e % self.block, self.component.rank_mask
+        g, q, o = (t.mask_below(start + self.block) >> start for t in (grown, pool, base))
+        return next(start + p for p in range(self.block)
+                    if q >> p & 1 and rank(g & ~(1 << p) | o) == g.bit_count() - 1 + rank(o))
+
     def class_member(self, rep, lower, upper=None) -> TemplateSet | None:
         # B ~ rep iff all but finitely many blocks B_c span exactly cl(R_c) and
         # the sum of |B_c| - |R_c| is 0: every tail block needs such a spanning
@@ -308,8 +317,9 @@ def removal_witness(
     independence talk is relative to that contracted template.  The witness is
     built by the exchange route: reuse the overlap when it is infinite,
     otherwise swap elements of inner into outer one at a time, always taking
-    the smallest id that keeps independence.  Callers re-verify the
-    postcondition with an independent rank computation.
+    the smallest id that keeps independence; a periodic sum decides that
+    partner on e's block alone.  Callers re-verify the postcondition with an
+    independent rank computation.
     """
     if count < 0:
         raise SpecError("witness size must be a natural number")
@@ -345,15 +355,11 @@ def removal_witness(
     current = outer_t
     picked: list[int] = []
     for e in swaps_in:
-        grown = current.patch(add=[e])
-        found = None
-        pool = (current - inner_t).iter_members()
-        for _, f in zip(range(_EXCHANGE_SCAN_LIMIT), pool):
-            if matroid.certify(grown.patch(remove=[f]), over=base):
-                found = f
-                break
-        if found is None:
-            raise SchemaError("exchange search exhausted; inputs violate the contract")
+        grown, pool = current.patch(add=[e]), current - inner_t
+        # a direct sum contracted by `base` is a direct sum, so grown's one circuit
+        # lies in e's block; it meets the pool because inner is independent over base
+        found = (pool.first(1)[0] if matroid.certify(grown, over=base)
+                 else matroid._circuit_partner(grown, e, pool, base))
         current = grown.patch(remove=[found])
         picked.append(found)
     return frozenset(picked)

@@ -23,7 +23,7 @@ from typing import Iterable
 from .core import Verdict
 from .errors import ClaimError, FamilyError, SchemaError, SpecError, TaskError
 from .finitary import INFINITE, FinitaryMatroid, removal_witness
-from .gentrunc import TruncationFamily, class_member
+from .gentrunc import TruncationFamily, settling_member
 from .templates import TemplateSet
 
 
@@ -110,8 +110,7 @@ def check_claim_preconditions(
     claim, rep = next(violators, (None, None))
     if rep is None:
         return Verdict.passed()
-    between = class_member(matroid, rep, task.lower, task.upper)
-    satisfier = between or class_member(matroid, rep, task.upper)
+    satisfier = settling_member(matroid, rep, task.lower, task.upper)
     if satisfier is not None and satisfier != rep:
         return Verdict.violation("task-satisfiable-directly", rep, satisfier)
     return Verdict.violation(f"claim{claim}", rep)

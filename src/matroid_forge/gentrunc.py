@@ -52,7 +52,7 @@ def verify_family(matroid: FiniteMatroid, family: Iterable[Iterable[int]]) -> Ve
     family's upward-closure table per member B and element e.
     """
     check_bound("family verification", len(matroid.ground), VERIFY_FAMILY_MAX_GROUND)
-    masks = (matroid.mask_of(matroid._subset(b, "family member")) for b in family)
+    masks = (matroid._subset_mask(b, "family member") for b in family)
     return verify_family_masks(matroid, size_sorted(masks, len(matroid.ground)))
 
 
@@ -242,7 +242,7 @@ def class_member(matroid: FinitaryMatroid, rep, lower, upper=None) -> TemplateSe
 
     A nested pair (lower, upper) triggers rep's class when
     `class_member(m, rep, lower)` exists, and the class settles it when
-    `class_member(m, rep, lower, upper) or class_member(m, rep, upper)` does.
+    `settling_member` finds a member.
     """
     member = matroid.class_member(rep, lower, upper)
     if member is not None and not (
@@ -253,6 +253,11 @@ def class_member(matroid: FinitaryMatroid, rep, lower, upper=None) -> TemplateSe
     ):
         raise SchemaError(f"class member {member.directive()} failed re-verification")
     return member
+
+
+def settling_member(matroid: FinitaryMatroid, rep, lower, upper) -> TemplateSet | None:
+    """A member of rep's class between lower and upper, else one containing upper, or None."""
+    return class_member(matroid, rep, lower, upper) or class_member(matroid, rep, upper)
 
 
 def verify_family_finitary(
@@ -276,9 +281,6 @@ def verify_family_finitary(
     for raw in tasks:
         lower, upper = _normalize_task_pair(matroid, raw)
         triggered = any(class_member(matroid, rep, lower) for rep in family)
-        if triggered and not any(
-            class_member(matroid, rep, lower, upper) or class_member(matroid, rep, upper)
-            for rep in family
-        ):
+        if triggered and not any(settling_member(matroid, rep, lower, upper) for rep in family):
             unmet.append((lower, upper))
     return Verdict.violation("4", *unmet) if unmet else Verdict.passed()

@@ -245,6 +245,24 @@ class TestCommands:
             f"guard {b} rank=3 >= 3",
         ]
 
+    def test_guard_witness_far_past_the_head(self, workdir):
+        # every guard swap on sums of U(2,4) meets a dependent block of the upper set
+        # 25,000 blocks in; the partner is decided on that block, not found by a scan
+        (workdir / "u24.txt").write_text(
+            "matroid u24\nkind periodic-sum\ncomponent kind uniform\ncomponent params k=2 n=4\n")
+        (workdir / "far.txt").write_text("family far\nclass template d=4 res=2 t=100000\n")
+        (workdir / "halves.txt").write_text("task t\nlower set\nupper template d=4 res=0,1\n")
+        code, report = dispatch([
+            "forcing", "step", "--matroid", str(workdir / "u24.txt"),
+            "--family", str(workdir / "far.txt"),
+            "--task", str(workdir / "halves.txt"),
+            "--depth", "3",
+        ])
+        assert code == 0
+        got = report_rows(report)
+        assert got["excluded"] == ["{100000,100001,100004,100005,100008,100012}"]
+        assert got["verdict"] == ["ok"]
+
     def test_forcing_claims_violation(self, workdir, capsys):
         # evens with 0 swapped for 1 has evens in its class, which settles (evens, all)
         (workdir / "full.txt").write_text("family whole\nclass all\n")

@@ -14,6 +14,7 @@ from matroid_forge import (
     UniformMatroid,
     check_base_axioms,
     max_independent_extension,
+    verify_family,
 )
 
 
@@ -112,6 +113,22 @@ class TestIndependence:
     def test_out_of_ground(self):
         with pytest.raises(GroundError):
             UniformMatroid(2, 4).is_independent({5})
+
+    def test_one_shot_and_coerced_arguments(self):
+        # a generator is read once, also when a lookup misses and the ids are coerced
+        m = UniformMatroid(2, 4)
+        assert m.rank(e for e in (1, 2, 3)) == 2
+        assert m.is_independent(e for e in ("1", 2))
+        assert not m.is_independent(str(e) for e in (1, 2, 3))
+        assert m.relative_rank((e for e in [1]), (str(e) for e in [2])) == 1
+        assert m.span_of(e for e in [1, 2]) == m.ground
+        assert m.span_of(e for e in ["3"]) == {3}
+        with pytest.raises(GroundError, match=r"^first argument \{5,6\} lies outside"):
+            m.relative_rank((e for e in [1, 5, "6"]), [2])
+        pairs = [{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}]
+        assert verify_family(m, ((e for e in b) for b in pairs)).ok
+        with pytest.raises(GroundError, match=r"^family member \{5\} lies outside"):
+            verify_family(m, [{1, 2}, (e for e in ["5", 1])])
 
     def test_rank_iff_size(self, corpus_small):
         for _, m in corpus_small:

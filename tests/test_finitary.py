@@ -283,6 +283,27 @@ class TestSparseComponentGround:
         assert base == TemplateSet(3, [0, 1])  # greedy picks 2 then 5 per block
 
 
+def scanned_witness(schema, inner, outer, protected, count, over):
+    """`removal_witness` on disjoint inner and outer, each swap partner found by an
+    uncapped literal scan: the smallest f in current - inner with current + e - f
+    independent over `over`."""
+    base = over if over is not None else TemplateSet.empty()
+    inner, outer = inner - base, outer - base
+    if protected:
+        shield = TemplateSet.from_finite(protected)
+        grown = base | shield
+        reduced = schema.max_independent_subtemplate(inner - shield, over=grown)
+        return scanned_witness(schema, reduced, outer - shield, (), count, grown)
+    current, picked = outer, []
+    for e in (inner - outer).first(count):
+        grown = current.patch(add=[e])
+        f = next(f for f in (current - inner).iter_members()
+                 if schema.certify(grown.patch(remove=[f]), over=base))
+        current = grown.patch(remove=[f])
+        picked.append(f)
+    return frozenset(picked)
+
+
 class TestRemovalWitness:
     def test_free_example(self):
         witness = removal_witness(FREE, EVENS, ODDS, (), 3)
@@ -334,3 +355,51 @@ class TestRemovalWitness:
             assert not (witness & protected)
             left = outer - TemplateSet.from_finite(witness)
             assert schema.relative_rank(inner, left) >= count
+
+    def test_matches_literal_scan(self, monkeypatch):
+        # the block decision of each swap partner against the scan it replaced
+        partner = PeriodicSumMatroid._circuit_partner
+        decided = []
+        monkeypatch.setattr(PeriodicSumMatroid, "_circuit_partner",
+                            lambda *args: decided.append(1) or partner(*args))
+        edges = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]
+        schemas = [FREE] + [PeriodicSumMatroid(c) for c in (
+            UniformMatroid(1, 2), UniformMatroid(2, 3), UniformMatroid(2, 4), GraphicMatroid(edges))]
+        rng = random.Random(12)
+
+        def template():
+            d, t = rng.randint(1, 8), rng.randint(0, 24)
+            res = [r for r in range(d) if rng.random() < 0.5] or [rng.randrange(d)]
+            return TemplateSet(d, res, t, [n for n in range(t) if rng.random() < 0.4])
+
+        done = 0
+        while done < 600:
+            schema = rng.choice(schemas)
+            over = template() if rng.random() < 0.5 else None
+            base = over if over is not None else TemplateSet.empty()
+            inner = schema.max_independent_subtemplate(template(), over=over)
+            outer = schema.max_independent_subtemplate(template() - inner, over=over)
+            if not ((inner - base).is_infinite and (outer - base).is_infinite):
+                continue
+            protected = frozenset(x for x in (outer - base).first(8) if rng.random() < 0.3)
+            count = rng.randint(1, 7)
+            want = scanned_witness(schema, inner, outer, protected, count, over)
+            assert removal_witness(schema, inner, outer, protected, count, over=over) == want
+            done += 1
+        assert len(decided) >= 100
+
+    def test_certify_calls_do_not_grow_with_the_head(self, monkeypatch):
+        # the partner is decided on one block, so a swap costs no scan over the head
+        schema = PeriodicSumMatroid(UniformMatroid(2, 4))
+        certify = PeriodicSumMatroid.certify
+        calls = []
+        monkeypatch.setattr(PeriodicSumMatroid, "certify",
+                            lambda *args, **kw: calls.append(1) or certify(*args, **kw))
+        counts = []
+        for k in (100, 400):
+            calls.clear()
+            rep = TemplateSet(4, [2], 4 * k)
+            witness = removal_witness(schema, rep, TemplateSet(4, [0, 1]), (), 3)
+            assert witness == {4 * k, 4 * k + 4, 4 * k + 8}
+            counts.append(len(calls))
+        assert counts == [5, 5]  # the two entry checks, then one per swap
