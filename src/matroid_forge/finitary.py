@@ -57,6 +57,17 @@ class FinitaryMatroid:
         """Greedy (ascending-id) maximal subset independent over `over`, as a template."""
         raise NotImplementedError
 
+    def rank_change(self, xs, ys, add: Iterable[int] = (), remove: Iterable[int] = ()) -> int:
+        """r((X | A) / (Y - Z)) - r(X / Y), read on the blocks that A and Z touch.
+
+        It is the sum over those blocks c of g_c(X | A, Y - Z) - g_c(X, Y),
+        where g_c(X, Y) = rank(X_c | Y_c) - rank(Y_c); every other block keeps
+        its term, so this is the change of the relative rank whenever
+        r(X / Y) is finite.  Of X and Y (templates or finite sets) only the
+        membership of ids in those blocks is asked.
+        """
+        raise NotImplementedError
+
     def _circuit_partner(self, grown, e, pool, base) -> int:
         """Smallest f in pool whose removal makes grown (dependent, grown - e not) independent."""
         raise NotImplementedError
@@ -107,6 +118,12 @@ class FreeMatroid(FinitaryMatroid):
     def max_independent_subtemplate(self, template, over=None) -> TemplateSet:
         t = TemplateSet.coerce(template)
         return t - TemplateSet.coerce(over) if over is not None else t
+
+    def rank_change(self, xs, ys, add: Iterable[int] = (), remove: Iterable[int] = ()) -> int:
+        # each element is its own block, where g(X, Y) = [e in X - Y]
+        added, removed = frozenset(add), frozenset(remove)
+        return sum(((e in xs or e in added) and (e not in ys or e in removed))
+                   - (e in xs and e not in ys) for e in added | removed)
 
     def class_member(self, rep, lower, upper=None) -> TemplateSet | None:
         # B ~ rep iff |B - rep| = |rep - B| is finite; start from the member
@@ -238,6 +255,20 @@ class PeriodicSumMatroid(FinitaryMatroid):
         chosen = [self._extend(0, tp, self.block, op) for tp, op in blocks]
         return self._template(chosen, head, cycle)
 
+    def rank_change(self, xs, ys, add: Iterable[int] = (), remove: Iterable[int] = ()) -> int:
+        block, rank = self.block, self.component.rank_mask
+        blocks: dict[int, list[int]] = {}  # block start -> [added mask, removed mask]
+        for side, elements in enumerate((add, remove)):
+            for e in elements:
+                start, p = e - e % block, e % block
+                blocks.setdefault(start, [0, 0])[side] |= 1 << p
+        change = 0
+        for start, (a, z) in blocks.items():
+            xp = sum(1 << p for p in range(block) if start + p in xs)
+            yp = sum(1 << p for p in range(block) if start + p in ys)
+            change += rank(xp | a | yp & ~z) - rank(yp & ~z) - rank(xp | yp) + rank(yp)
+        return change
+
     def _circuit_partner(self, grown, e, pool, base) -> int:
         start, rank = e - e % self.block, self.component.rank_mask
         g, q, o = (t.mask_below(start + self.block) >> start for t in (grown, pool, base))
@@ -317,9 +348,9 @@ def removal_witness(
     independence talk is relative to that contracted template.  The witness is
     built by the exchange route: reuse the overlap when it is infinite,
     otherwise swap elements of inner into outer one at a time, always taking
-    the smallest id that keeps independence; a periodic sum decides that
-    partner on e's block alone.  Callers re-verify the postcondition with an
-    independent rank computation.
+    the smallest id that keeps independence; both the swap test and the
+    partner are read on e's block alone.  Callers re-verify the
+    postcondition with an independent rank computation.
     """
     if count < 0:
         raise SpecError("witness size must be a natural number")
@@ -356,9 +387,11 @@ def removal_witness(
     picked: list[int] = []
     for e in swaps_in:
         grown, pool = current.patch(add=[e]), current - inner_t
-        # a direct sum contracted by `base` is a direct sum, so grown's one circuit
-        # lies in e's block; it meets the pool because inner is independent over base
-        found = (pool.first(1)[0] if matroid.certify(grown, over=base)
+        # current is independent over `base` and e lies in neither, so grown is
+        # independent iff e adds one to the rank of its block; otherwise, as a direct
+        # sum contracted by `base` is a direct sum, grown's one circuit lies in e's
+        # block, and it meets the pool because inner is independent over base
+        found = (pool.first(1)[0] if matroid.rank_change(current, base, add=[e]) == 1
                  else matroid._circuit_partner(grown, e, pool, base))
         current = grown.patch(remove=[found])
         picked.append(found)

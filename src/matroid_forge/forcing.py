@@ -132,6 +132,70 @@ def _guard_rank(matroid: FinitaryMatroid, condition: Condition, rep: TemplateSet
     return matroid.relative_rank(rep, task.upper - TemplateSet.from_finite(condition.zeros))
 
 
+def _meet_gain(matroid: FinitaryMatroid, condition: Condition, rep: TemplateSet, level: int,
+               task: Task, ranks: dict, pools: dict) -> Condition:
+    """Extension into the gain dense set for (rep, level), keeping the ledger exact.
+
+    `ranks` maps each gain representative to the relative rank of the
+    condition's 1-part over it, and every assignment updates each entry by
+    `rank_change` on the blocks the new elements touch; `pools` caches each
+    representative's pool for the step.
+    """
+    rank = ranks[rep]
+    if rank >= level:
+        return condition
+    pool = pools.get(rep)
+    if pool is None:
+        pool = pools[rep] = matroid.max_independent_subtemplate(task.gap - rep, over=rep)
+        if not pool.is_infinite:
+            raise SchemaError("no infinite independent pool over the representative")
+    taken, ones = condition.domain, set(condition.ones)
+    fresh = (m for m in pool.iter_members() if m not in taken)
+    while rank < level:
+        e = next(fresh)
+        rank += matroid.rank_change(ones, rep, add=[e])
+        ones.add(e)
+    added = ones - condition.ones
+    for other in ranks:
+        if other != rep:
+            ranks[other] += matroid.rank_change(condition.ones, other, add=added)
+    ranks[rep] = rank
+    current = condition.assign(added, 1)
+    if not current.extends(condition):
+        raise SchemaError("gain extension altered the given condition")
+    return current
+
+
+def _meet_guard(matroid: FinitaryMatroid, condition: Condition, rep: TemplateSet, level: int,
+                task: Task, ranks: dict, cores: dict) -> Condition:
+    """Extension into the guard dense set for (rep, level), keeping the ledger exact.
+
+    `ranks` maps each guard representative to its relative rank over the
+    upper set less the condition's 0-part, updated by `rank_change` on the
+    blocks the witness touches; `cores` caches each representative's core
+    for the step.
+    """
+    if ranks[rep] >= level:
+        return condition
+    core = cores.get(rep)
+    if core is None:
+        core = cores[rep] = matroid.max_independent_subtemplate(rep, over=task.lower)
+        if not core.is_infinite:
+            raise SchemaError("representative collapses over the lower set")
+    witness = removal_witness(
+        matroid, core, task.gap, condition.domain, level, over=task.lower
+    )
+    extended = condition.assign(witness, 0)
+    if not extended.extends(condition):
+        raise SchemaError("guard extension altered the given condition")
+    remaining = task.upper - TemplateSet.from_finite(condition.zeros)
+    for other in ranks:
+        ranks[other] += matroid.rank_change(other, remaining, remove=witness)
+    if ranks[rep] < level:
+        raise SchemaError("guard extension failed verification")
+    return extended
+
+
 def dense_extend_gain(
     matroid: FinitaryMatroid,
     condition: Condition,
@@ -151,21 +215,9 @@ def dense_extend_gain(
     _check_domain(condition, task)
     if matroid.relative_rank(task.lower, rep) == INFINITE:
         raise SpecError("gain extension needs the lower set almost spanned by the representative")
-    rank = _gain_rank(matroid, condition, rep, task)
-    if rank >= level:
-        return condition, rank
-    pool = matroid.max_independent_subtemplate(task.gap - rep, over=rep)
-    if not pool.is_infinite:
-        raise SchemaError("no infinite independent pool over the representative")
-    current = condition
-    members = pool.iter_members()
-    while rank < level:
-        e = next(m for m in members if m not in current.domain)
-        current = current.assign([e], 1)
-        rank = _gain_rank(matroid, current, rep, task)
-    if not current.extends(condition):
-        raise SchemaError("gain extension altered the given condition")
-    return current, rank
+    ranks = {rep: _gain_rank(matroid, condition, rep, task)}
+    extended = _meet_gain(matroid, condition, rep, level, task, ranks, {})
+    return extended, ranks[rep]
 
 
 def dense_extend_guard(
@@ -179,29 +231,17 @@ def dense_extend_guard(
 
     Forces a finite removal witness to 0 so the representative keeps
     relative rank at least `level` over the remaining upper set, and returns
-    the extension with that rank, checked afresh after the witness is
-    forced.  Requires the representative to almost span into the upper set
-    and an infinite part of it independent over the lower set.
+    the extension with that rank: the entry rank plus its change on the
+    blocks the witness touches.  Requires the representative to almost span
+    into the upper set and an infinite part of it independent over the
+    lower set.
     """
     _check_domain(condition, task)
     if matroid.relative_rank(rep, task.upper) == INFINITE:
         raise SpecError("guard extension needs the representative to almost span the upper set")
-    rank = _guard_rank(matroid, condition, rep, task)
-    if rank >= level:
-        return condition, rank
-    core = matroid.max_independent_subtemplate(rep, over=task.lower)
-    if not core.is_infinite:
-        raise SchemaError("representative collapses over the lower set")
-    witness = removal_witness(
-        matroid, core, task.gap, condition.domain, level, over=task.lower
-    )
-    extended = condition.assign(witness, 0)
-    if not extended.extends(condition):
-        raise SchemaError("guard extension altered the given condition")
-    rank = _guard_rank(matroid, extended, rep, task)
-    if rank < level:
-        raise SchemaError("guard extension failed verification")
-    return extended, rank
+    ranks = {rep: _guard_rank(matroid, condition, rep, task)}
+    extended = _meet_guard(matroid, condition, rep, level, task, ranks, {})
+    return extended, ranks[rep]
 
 
 @dataclass(frozen=True)
@@ -285,29 +325,42 @@ def forcing_step(
 
     Dense sets are folded level by level (all gain sets for level n in
     representative order, then all guard sets), so the condition at depth N+1
-    extends the one at depth N verbatim.  Claim precondition failures
-    propagate as ClaimError.
+    extends the one at depth N verbatim.  Each (kind, representative) rank is
+    computed window-wide once, at the start, and then kept by a ledger that
+    every extension updates on the blocks its new elements touch; the final
+    ledger must equal the window-wide evidence ranks, and `verify_certificate`
+    re-checks the certificate.  Claim precondition failures propagate as
+    ClaimError.
     """
     if depth < 0:
         raise SpecError("depth must be a natural number")
     claims = check_claim_preconditions(matroid, family, task)
     if not claims:
         raise ClaimError(claims)
-    gain_reps = [r for r in family if matroid.relative_rank(task.lower, r) != INFINITE]
-    guard_reps = [r for r in family if matroid.relative_rank(r, task.upper) != INFINITE]
+    # the rank ledgers, seeded once by the window-wide route
+    gains = {r: _gain_rank(matroid, Condition(), r, task)
+             for r in family if matroid.relative_rank(task.lower, r) != INFINITE}
+    guards = {r: rank for r in family
+              if (rank := matroid.relative_rank(r, task.upper)) != INFINITE}
+    pools: dict = {}
+    cores: dict = {}
     condition = Condition()
     met: list[DenseEvidence] = []
     for level in range(1, depth + 1):
-        for rep in gain_reps:
-            grown, value = dense_extend_gain(matroid, condition, rep, level, task)
+        for rep in gains:
+            grown = _meet_gain(matroid, condition, rep, level, task, gains, pools)
             added = tuple((e, 1) for e in sorted(grown.ones - condition.ones))
-            met.append(DenseEvidence("gain", rep, level, added, value))
+            met.append(DenseEvidence("gain", rep, level, added, gains[rep]))
             condition = grown
-        for rep in guard_reps:
-            grown, value = dense_extend_guard(matroid, condition, rep, level, task)
+        for rep in guards:
+            grown = _meet_guard(matroid, condition, rep, level, task, guards, cores)
             added = tuple((e, 0) for e in sorted(grown.zeros - condition.zeros))
-            met.append(DenseEvidence("guard", rep, level, added, value))
+            met.append(DenseEvidence("guard", rep, level, added, guards[rep]))
             condition = grown
+    gain_evidence = tuple((r, _gain_rank(matroid, condition, r, task)) for r in gains)
+    guard_evidence = tuple((r, _guard_rank(matroid, condition, r, task)) for r in guards)
+    if [*gains.items(), *guards.items()] != [*gain_evidence, *guard_evidence]:
+        raise SchemaError("rank ledger disagrees with the window-wide rank")
     cert = StepCertificate(
         depth=depth,
         task=task,
@@ -315,8 +368,8 @@ def forcing_step(
         met=tuple(met),
         forced_in=task.lower | TemplateSet.from_finite(condition.ones),
         excluded=condition.zeros,
-        gain_evidence=tuple((r, _gain_rank(matroid, condition, r, task)) for r in gain_reps),
-        guard_evidence=tuple((r, _guard_rank(matroid, condition, r, task)) for r in guard_reps),
+        gain_evidence=gain_evidence,
+        guard_evidence=guard_evidence,
     )
     if not verify_certificate(matroid, cert):
         raise SchemaError("certificate failed independent re-verification")

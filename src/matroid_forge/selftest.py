@@ -21,7 +21,7 @@ from .core import (
     size_order,
 )
 from .equivalence import almost_spans, relative_rank_difference_check, strongly_equivalent
-from .finitary import FinitaryMatroid, FreeMatroid, PeriodicSumMatroid
+from .finitary import INFINITE, FinitaryMatroid, FreeMatroid, PeriodicSumMatroid
 from .gentrunc import RAW_ENUM_MAX_INDEP, enumerate_gen_truncations, enumerate_raw, family_sort_key
 from .templates import TemplateSet
 from .truncation import cotruncate, truncate_to
@@ -105,6 +105,33 @@ def restriction_agreement(schema: FinitaryMatroid, sizes: Iterable[int], rng: ra
     return Verdict.passed()
 
 
+def _random_template(rng: random.Random, bound: int) -> TemplateSet:
+    """A template of period at most 12 whose low part lies below a threshold under `bound`."""
+    period, threshold = rng.choice((1, 2, 3, 4, 6, 8, 12)), rng.randrange(bound)
+    return TemplateSet(period, [r for r in range(period) if rng.random() < 0.5], threshold,
+                       [n for n in range(threshold) if rng.random() < 0.5])
+
+
+def local_rank_change_law(schema: FinitaryMatroid, rng: random.Random, count: int) -> Verdict:
+    """`rank_change(X, Y, add=A, remove=Z)` equals r((X | A) / (Y - Z)) - r(X / Y) whenever
+    both ranks are finite, on `count` random cases: Y a template, X a part of Y plus a
+    finite set (an unrelated template one time in four), A and Z finite sets below 24;
+    witness (X, Y, A, Z)."""
+    rr, bound = schema.relative_rank, 24
+    for _ in range(count):
+        y = _random_template(rng, bound)
+        x = _random_template(rng, bound)
+        if rng.random() < 0.75:
+            x = (y & x) | TemplateSet.from_finite(x.members_below(bound))
+        a, z = (frozenset(n for n in range(bound) if rng.random() < 0.2) for _ in "az")
+        before, after = rr(x, y), rr(x | a, y - z)
+        if INFINITE in (before, after):
+            continue
+        if schema.rank_change(x, y, add=a, remove=z) != after - before:
+            return Verdict.violation("rank-change", x, y, a, z)
+    return Verdict.passed()
+
+
 def enumeration_matches_raw(matroid: FiniteMatroid) -> Verdict:
     """The level enumeration lists exactly the families of `enumerate_raw`; witness: the
     first family (as its members in size order) that only one of them lists."""
@@ -166,6 +193,8 @@ def lemma_suite(seed: int = 0) -> list[SuiteRow]:
         ("template-almost-spanning", [pairs], _almost_spanning_examples),
         ("template-vs-restriction-rank", [pairs],
          lambda s: restriction_agreement(s, (8, 16, 32), rng, 200, 0.3)),
+        ("rank-change-is-local", [FreeMatroid(), pairs, PeriodicSumMatroid(UniformMatroid(2, 4))],
+         lambda s: local_rank_change_law(s, rng, 200)),
     ]
     return [_first_violation(*row) for row in table]
 

@@ -8,6 +8,7 @@ from matroid_forge import (
     ExplicitMatroid,
     FreeMatroid,
     OracleMatroid,
+    PeriodicSumMatroid,
     UniformMatroid,
     cotruncate,
     enumerate_gen_truncations,
@@ -263,6 +264,24 @@ class TestCommands:
         assert got["excluded"] == ["{100000,100001,100004,100005,100008,100012}"]
         assert got["verdict"] == ["ok"]
 
+    def test_drifting_rank_ledger_is_an_error(self, workdir, monkeypatch):
+        # a schema whose local rank change lies ends the step before any evidence
+        change = PeriodicSumMatroid.rank_change
+        monkeypatch.setattr(PeriodicSumMatroid, "rank_change",
+                            lambda *args, **kw: change(*args, **kw) + 1)
+        (workdir / "ab.txt").write_text("family ab\nclass template d=4 res=0\n"
+                                        "class template d=4 res=3\n")
+        (workdir / "both.txt").write_text("task t\nlower set\nupper template d=4 res=0,3\n")
+        code, report = dispatch([
+            "forcing", "step", "--matroid", str(workdir / "ds.txt"),
+            "--family", str(workdir / "ab.txt"), "--task", str(workdir / "both.txt"),
+            "--depth", "3",
+        ])
+        got = report_rows(report)
+        assert code == EXIT_USAGE
+        assert got["error"] == ["rank ledger disagrees with the window-wide rank"]
+        assert "evidence" not in got
+
     def test_forcing_claims_violation(self, workdir, capsys):
         # evens with 0 swapped for 1 has evens in its class, which settles (evens, all)
         (workdir / "full.txt").write_text("family whole\nclass all\n")
@@ -321,7 +340,8 @@ class TestCommands:
     def test_selftest(self, workdir):
         lemmas = ["relative-rank-additivity", "cotruncation-meets-truncation",
                   "finite-equivalence-is-equal-size", "relative-rank-difference-check",
-                  "template-almost-spanning", "template-vs-restriction-rank"]
+                  "template-almost-spanning", "template-vs-restriction-rank",
+                  "rank-change-is-local"]
         for action, names in (("lemmas", lemmas), ("oracle", ["enumeration-matches-raw-oracle"])):
             code, report = dispatch(["selftest", action])
             assert code == 0
@@ -340,7 +360,15 @@ class OffByOne(FreeMatroid):
         return super().relative_rank(xs, ys) + 1
 
 
+class ChangeOffByOne(PeriodicSumMatroid):
+    """Sums of U(2,4) whose local rank change is one too large."""
+
+    def rank_change(self, xs, ys, add=(), remove=()):
+        return super().rank_change(xs, ys, add, remove) + 1
+
+
 SKEWED, OFF_BY_ONE = Skewed(2, 4), OffByOne()
+CHANGE_OFF = ChangeOffByOne(UniformMatroid(2, 4))
 LOPSIDED = ExplicitMatroid({1, 2, 3}, [{1, 2}, {3}], _checked=True)  # bases break exchange
 DROPPING = OracleMatroid({1, 2}, lambda s: len(s) % 2)  # r({1, 2}) = 0 < r({1})
 rr = SKEWED.relative_rank
@@ -361,6 +389,9 @@ WRONG_INPUTS = {
     "restriction": (lambda: st.restriction_agreement(OFF_BY_ONE, (8,), random.Random(0), 10, 0.3),
                     lambda n, xs, ys: OFF_BY_ONE.relative_rank(xs, ys)
                     != OFF_BY_ONE.restrict(n).relative_rank(xs, ys)),
+    "rank-change": (lambda: st.local_rank_change_law(CHANGE_OFF, random.Random(0), 10),
+                    lambda x, y, a, z: CHANGE_OFF.rank_change(x, y, add=a, remove=z)
+                    != CHANGE_OFF.relative_rank(x | a, y - z) - CHANGE_OFF.relative_rank(x, y)),
     "enumeration": (lambda: st.enumeration_matches_raw(DROPPING),
                     lambda members: (frozenset(members) in enumerate_gen_truncations(DROPPING))
                     != (frozenset(members) in enumerate_raw(DROPPING))),

@@ -389,7 +389,8 @@ class TestRemovalWitness:
         assert len(decided) >= 100
 
     def test_certify_calls_do_not_grow_with_the_head(self, monkeypatch):
-        # the partner is decided on one block, so a swap costs no scan over the head
+        # the swap test and the partner are read on one block, so a swap costs no
+        # call over the head
         schema = PeriodicSumMatroid(UniformMatroid(2, 4))
         certify = PeriodicSumMatroid.certify
         calls = []
@@ -402,4 +403,4 @@ class TestRemovalWitness:
             witness = removal_witness(schema, rep, TemplateSet(4, [0, 1]), (), 3)
             assert witness == {4 * k, 4 * k + 4, 4 * k + 8}
             counts.append(len(calls))
-        assert counts == [5, 5]  # the two entry checks, then one per swap
+        assert counts == [2, 2]  # the two entry checks only

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,9 @@ from matroid_forge import (
     Condition,
     FamilyError,
     FreeMatroid,
+    GraphicMatroid,
     PeriodicSumMatroid,
+    SchemaError,
     SpecError,
     TaskError,
     TemplateSet,
@@ -24,6 +27,7 @@ from matroid_forge import (
     verify_certificate,
     verify_family_finitary,
 )
+from matroid_forge.forcing import _gain_rank, _guard_rank
 
 FREE = FreeMatroid()
 PAIRS = PeriodicSumMatroid(UniformMatroid(1, 2))
@@ -306,6 +310,76 @@ class TestInfiniteLowerSet:
             if prev is not None:
                 assert cert.condition.extends(prev)
             prev = cert.condition
+
+
+class LyingLedger(PeriodicSumMatroid):
+    """Sums of U(1,2) whose local rank change is one too large."""
+
+    def rank_change(self, xs, ys, add=(), remove=()):
+        return super().rank_change(xs, ys, add, remove) + 1
+
+
+def window_wide_met_ranks(matroid, cert):
+    """(met value, window-wide rank of the condition prefix it was met on) per met entry."""
+    condition = Condition()
+    for entry in cert.met:
+        condition = condition.assign([e for e, _ in entry.added], 1 if entry.kind == "gain" else 0)
+        rank_of = _gain_rank if entry.kind == "gain" else _guard_rank
+        yield entry.value, rank_of(matroid, condition, entry.rep, cert.task)
+
+
+def seeded_steps(schema, rng):
+    """Seed families with a task whose upper set is their union's independent part."""
+    block = getattr(schema, "block", 1)
+    for prefix in ("01", "10", "011", "110"):
+        fam = seed_family(schema, prefix)
+        union = fam.representatives[0]
+        for rep in fam.representatives[1:]:
+            union = union | rep
+        upper = schema.max_independent_subtemplate(union)
+        lower = TemplateSet.from_finite(rng.sample(upper.members_below(8 * block), rng.randrange(3)))
+        yield fam, make_task(schema, lower, upper), rng.randint(3, 6)
+
+
+class TestRankLedger:
+    def test_lying_rank_change_is_caught(self):
+        liar = LyingLedger(UniformMatroid(1, 2))
+        fam = TruncationFamily.build(liar, [A_EVEN_BLOCKS, B_ODD_BLOCKS])
+        task = make_task(liar, EMPTY, A_EVEN_BLOCKS | B_ODD_BLOCKS)
+        with pytest.raises(SchemaError, match="ledger"):
+            forcing_step(liar, fam, task, 3)
+
+    def test_met_values_match_window_wide_ranks(self):
+        rng = random.Random(12)
+        schemas = [FREE, PAIRS, PeriodicSumMatroid(UniformMatroid(2, 3)),
+                   PeriodicSumMatroid(UniformMatroid(2, 4)),
+                   PeriodicSumMatroid(GraphicMatroid([("a", "b"), ("b", "c"), ("a", "c")]))]
+        cases = [(PAIRS, *dual_scenario(), 4), (PAIRS, *TestInfiniteLowerSet().scenario(), 5)]
+        for schema in schemas:
+            cases += [(schema, *step) for step in seeded_steps(schema, rng)]
+        # the guard of sums of U(2,4) meets a dependent upper block 25,000 blocks in
+        u24 = schemas[3]
+        far = TruncationFamily.build(u24, [TemplateSet(4, [2], 100_000)])
+        cases.append((u24, far, make_task(u24, EMPTY, TemplateSet(4, [0, 1])), 3))
+        kinds = set()
+        for schema, fam, task, depth in cases:
+            assert check_claim_preconditions(schema, fam, task).ok
+            cert = forcing_step(schema, fam, task, depth)
+            assert len(cert.met) == depth * (len(cert.gain_evidence) + len(cert.guard_evidence))
+            for value, want in window_wide_met_ranks(schema, cert):
+                assert value == want, (schema, task)
+            kinds |= {(type(schema), e.kind) for e in cert.met if e.added}
+        assert len(kinds) == 4  # both kinds grew the condition on both schemas
+
+    def test_certificate_check_reads_no_ledger(self, monkeypatch):
+        fam, task = dual_scenario()
+        cert = forcing_step(PAIRS, fam, task, 3)
+
+        def refuse(*args, **kw):
+            raise AssertionError("verify_certificate asked for a local rank change")
+
+        monkeypatch.setattr(PeriodicSumMatroid, "rank_change", refuse)
+        assert verify_certificate(PAIRS, cert)
 
 
 class TestSeeds:
