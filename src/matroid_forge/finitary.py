@@ -347,10 +347,11 @@ def removal_witness(
     finite subset of `outer` the witness must avoid.  When `over` is given all
     independence talk is relative to that contracted template.  The witness is
     built by the exchange route: reuse the overlap when it is infinite,
-    otherwise swap elements of inner into outer one at a time, always taking
-    the smallest id that keeps independence; both the swap test and the
-    partner are read on e's block alone.  Callers re-verify the
-    postcondition with an independent rank computation.
+    otherwise contract `protected` into `over` and swap elements of inner into
+    outer one at a time, always taking the smallest id that keeps
+    independence; both the swap test and the partner are read on e's block
+    alone, so the two entry checks are the only window-wide ones.  Callers
+    re-verify the postcondition with an independent rank computation.
     """
     if count < 0:
         raise SpecError("witness size must be a natural number")
@@ -373,14 +374,12 @@ def removal_witness(
         return frozenset((overlap - TemplateSet.from_finite(shield)).first(count))
 
     if shield:
-        # contract the protected elements and recurse on the reduced instance;
-        # the witness it yields avoids them by construction
-        grown = base | TemplateSet.from_finite(shield)
-        reduced_inner = matroid.max_independent_subtemplate(
-            inner_t - TemplateSet.from_finite(shield), over=grown
-        )
-        reduced_outer = outer_t - TemplateSet.from_finite(shield)
-        return removal_witness(matroid, reduced_inner, reduced_outer, (), count, over=grown)
+        # contract the protected elements in place: the reduced overlap is still
+        # finite, and both reduced sets stay infinite and independent over base
+        fixed = TemplateSet.from_finite(shield)
+        base = base | fixed
+        inner_t = matroid.max_independent_subtemplate(inner_t - fixed, over=base)
+        outer_t = outer_t - fixed
 
     swaps_in = (inner_t - outer_t).first(count)
     current = outer_t

@@ -296,23 +296,23 @@ def verify_certificate(matroid: FinitaryMatroid, cert: StepCertificate) -> bool:
     Each distinct (kind, representative) rank is computed once, from the
     certificate's condition and task, and must reach the largest level any
     met entry claims for that pair and, for an evidence pair, the depth.
-    Every recorded evidence value must also reach the depth; no other
-    recorded value is trusted.
+    Every recorded evidence value must equal the rank recomputed for its
+    pair; no other recorded value is trusted.
     """
     evidence = [("gain", rep, value) for rep, value in cert.gain_evidence]
     evidence += [("guard", rep, value) for rep, value in cert.guard_evidence]
-    if any(value < cert.depth for _, _, value in evidence):
-        return False
     claims = [(e.kind, e.rep, e.level) for e in cert.met]
     claims += [(kind, rep, cert.depth) for kind, rep, _ in evidence]
     need: dict = {}
     for kind, rep, level in claims:
         need[kind, rep] = max(need.get((kind, rep), level), level)
+    ranks: dict = {}
     for (kind, rep), level in need.items():
         rank_of = _gain_rank if kind == "gain" else _guard_rank
-        if rank_of(matroid, cert.condition, rep, cert.task) < level:
+        ranks[kind, rep] = rank_of(matroid, cert.condition, rep, cert.task)
+        if ranks[kind, rep] < level:
             return False
-    return True
+    return all(ranks[kind, rep] == value for kind, rep, value in evidence)
 
 
 def forcing_step(
@@ -326,20 +326,19 @@ def forcing_step(
     Dense sets are folded level by level (all gain sets for level n in
     representative order, then all guard sets), so the condition at depth N+1
     extends the one at depth N verbatim.  Each (kind, representative) rank is
-    computed window-wide once, at the start, and then kept by a ledger that
-    every extension updates on the blocks its new elements touch; the final
-    ledger must equal the window-wide evidence ranks, and `verify_certificate`
-    re-checks the certificate.  Claim precondition failures propagate as
-    ClaimError.
+    kept by a ledger that every extension updates on the blocks its new
+    elements touch; gain ranks start at 0, guard ranks at r(rep / upper).  The
+    final ledgers are the evidence, which `verify_certificate`, the one
+    re-check, holds to the window-wide ranks by equality.  Claim precondition
+    failures propagate as ClaimError.
     """
     if depth < 0:
         raise SpecError("depth must be a natural number")
     claims = check_claim_preconditions(matroid, family, task)
     if not claims:
         raise ClaimError(claims)
-    # the rank ledgers, seeded once by the window-wide route
-    gains = {r: _gain_rank(matroid, Condition(), r, task)
-             for r in family if matroid.relative_rank(task.lower, r) != INFINITE}
+    # the rank ledgers: gain ranks start at 0, guard ranks at r(rep / upper)
+    gains = {r: 0 for r in family if matroid.relative_rank(task.lower, r) != INFINITE}
     guards = {r: rank for r in family
               if (rank := matroid.relative_rank(r, task.upper)) != INFINITE}
     pools: dict = {}
@@ -357,10 +356,6 @@ def forcing_step(
             added = tuple((e, 0) for e in sorted(grown.zeros - condition.zeros))
             met.append(DenseEvidence("guard", rep, level, added, guards[rep]))
             condition = grown
-    gain_evidence = tuple((r, _gain_rank(matroid, condition, r, task)) for r in gains)
-    guard_evidence = tuple((r, _guard_rank(matroid, condition, r, task)) for r in guards)
-    if [*gains.items(), *guards.items()] != [*gain_evidence, *guard_evidence]:
-        raise SchemaError("rank ledger disagrees with the window-wide rank")
     cert = StepCertificate(
         depth=depth,
         task=task,
@@ -368,8 +363,8 @@ def forcing_step(
         met=tuple(met),
         forced_in=task.lower | TemplateSet.from_finite(condition.ones),
         excluded=condition.zeros,
-        gain_evidence=gain_evidence,
-        guard_evidence=guard_evidence,
+        gain_evidence=tuple(gains.items()),
+        guard_evidence=tuple(guards.items()),
     )
     if not verify_certificate(matroid, cert):
         raise SchemaError("certificate failed independent re-verification")

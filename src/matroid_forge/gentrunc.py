@@ -146,14 +146,19 @@ def family_sort_key(family: frozenset):
 
 
 def enumerate_gen_truncations(matroid: FiniteMatroid) -> list[frozenset]:
-    """All base families of generalised truncations, via the level structure.
+    """All base families of generalised truncations: the single size levels that verify.
 
     Balanced-exchange closure forces any candidate to be a union of complete
     size levels of the independent sets (equal finite differences mean equal
-    size), so only those unions are generated; each survivor is re-validated
-    by `verify_family_masks` and by the literal base axioms.  The families
-    stay masks until the survivors are returned.  `enumerate_raw` is the
-    shortcut-free oracle this reduction is tested against.
+    size).  Condition 3 then leaves one level: if levels i < j were both
+    present, take a size-j member B and an element e of B; every i-subset of
+    B - e is independent (independence is downward closed in a matroid),
+    hence a member, and it lies inside span(B - e).
+    So only the r + 1 single levels are tried, not the 2^(r+1) - 1 unions;
+    each survivor is re-validated by `verify_family_masks` and by the literal
+    base axioms.  The families stay masks until the survivors are returned.
+    `enumerate_raw` is the shortcut-free oracle this reduction is tested
+    against.
     """
     n = len(matroid.ground)
     check_bound("level enumeration", n,
@@ -164,11 +169,7 @@ def enumerate_gen_truncations(matroid: FiniteMatroid) -> list[frozenset]:
         # a rank oracle that is no matroid may call larger sets independent
         if m.bit_count() <= r:
             levels[m.bit_count()].append(m)
-    found: list[list[int]] = []
-    for choice in range(1, 1 << len(levels)):
-        masks = [m for i, level in enumerate(levels) if choice >> i & 1 for m in level]
-        if verify_family_masks(matroid, masks):
-            found.append(masks)
+    found = [level for level in levels if verify_family_masks(matroid, level)]
     for masks in found:
         axioms = check_base_masks(matroid._order, masks)
         if not axioms:

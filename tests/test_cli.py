@@ -265,7 +265,7 @@ class TestCommands:
         assert got["verdict"] == ["ok"]
 
     def test_drifting_rank_ledger_is_an_error(self, workdir, monkeypatch):
-        # a schema whose local rank change lies ends the step before any evidence
+        # a schema whose local rank change lies fails the re-check before any evidence
         change = PeriodicSumMatroid.rank_change
         monkeypatch.setattr(PeriodicSumMatroid, "rank_change",
                             lambda *args, **kw: change(*args, **kw) + 1)
@@ -279,7 +279,7 @@ class TestCommands:
         ])
         got = report_rows(report)
         assert code == EXIT_USAGE
-        assert got["error"] == ["rank ledger disagrees with the window-wide rank"]
+        assert got["error"] == ["certificate failed independent re-verification"]
         assert "evidence" not in got
 
     def test_forcing_claims_violation(self, workdir, capsys):

@@ -390,17 +390,18 @@ class TestRemovalWitness:
 
     def test_certify_calls_do_not_grow_with_the_head(self, monkeypatch):
         # the swap test and the partner are read on one block, so a swap costs no
-        # call over the head
+        # call over the head, and protected elements are contracted in place
         schema = PeriodicSumMatroid(UniformMatroid(2, 4))
         certify = PeriodicSumMatroid.certify
         calls = []
         monkeypatch.setattr(PeriodicSumMatroid, "certify",
                             lambda *args, **kw: calls.append(1) or certify(*args, **kw))
-        counts = []
-        for k in (100, 400):
-            calls.clear()
-            rep = TemplateSet(4, [2], 4 * k)
-            witness = removal_witness(schema, rep, TemplateSet(4, [0, 1]), (), 3)
-            assert witness == {4 * k, 4 * k + 4, 4 * k + 8}
-            counts.append(len(calls))
-        assert counts == [2, 2]  # the two entry checks only
+        for protected in ((), {0, 1}):
+            counts = []
+            for k in (100, 400):
+                calls.clear()
+                rep = TemplateSet(4, [2], 4 * k)
+                witness = removal_witness(schema, rep, TemplateSet(4, [0, 1]), protected, 3)
+                assert witness == {4 * k, 4 * k + 4, 4 * k + 8}
+                counts.append(len(calls))
+            assert counts == [2, 2], protected  # the two entry checks only

@@ -230,6 +230,7 @@ class TestForcingStep:
         gain_at = next(i for i, e in enumerate(met) if e.kind == "gain")
         guard_at = next(i for i, e in enumerate(met) if e.kind == "guard")
         (rep, _), *rest = cert.guard_evidence
+        (gain_rep, gain_value), *gain_rest = cert.gain_evidence
 
         def with_met(i, level):
             return tuple(met[:i] + [replace(met[i], level=level)] + met[i + 1:])
@@ -238,6 +239,8 @@ class TestForcingStep:
             replace(cert, met=with_met(gain_at, 99)),
             replace(cert, met=with_met(guard_at, 99)),
             replace(cert, guard_evidence=((rep, 1), *rest)),
+            # still >= depth, but no longer the rank it records
+            replace(cert, gain_evidence=((gain_rep, gain_value + 1), *gain_rest)),
             replace(cert, condition=Condition()),
             replace(cert, depth=50),
             replace(cert, condition=Condition(ones=cert.condition.ones)),
@@ -346,7 +349,7 @@ class TestRankLedger:
         liar = LyingLedger(UniformMatroid(1, 2))
         fam = TruncationFamily.build(liar, [A_EVEN_BLOCKS, B_ODD_BLOCKS])
         task = make_task(liar, EMPTY, A_EVEN_BLOCKS | B_ODD_BLOCKS)
-        with pytest.raises(SchemaError, match="ledger"):
+        with pytest.raises(SchemaError, match="certificate failed independent re-verification"):
             forcing_step(liar, fam, task, 3)
 
     def test_met_values_match_window_wide_ranks(self):
