@@ -387,7 +387,12 @@ class UniformMatroid(FiniteMatroid):
 
 
 class GraphicMatroid(FiniteMatroid):
-    """Cycle matroid of a multigraph; element i is the i-th edge (1-based)."""
+    """Cycle matroid of a multigraph; element i is the i-th edge (1-based).
+
+    `edges` keeps the vertex names as given (strings).  The rank oracle reads
+    `_ends` instead: each edge as a pair of vertex ids 0..V-1, numbered in
+    order of first appearance, so a rank query is union-find over a list.
+    """
 
     kind = "graphic"
 
@@ -395,25 +400,25 @@ class GraphicMatroid(FiniteMatroid):
         edge_list = tuple((str(u), str(v)) for u, v in edges)
         super().__init__(range(1, len(edge_list) + 1), name)
         self.edges = edge_list
+        ids: dict[str, int] = {}
+        self._ends = tuple((ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)))
+                           for u, v in edge_list)
+        self._vertices = len(ids)
 
     def _rank_of(self, mask: int) -> int:
-        parent: dict[str, str] = {}
-
-        def find(v: str) -> str:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
+        parent = list(range(self._vertices))
+        ends = self._ends
         rank = 0
-        for i, (u, v) in enumerate(self.edges):
-            if not mask >> i & 1:
-                continue
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u, v = ends[low.bit_length() - 1]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
                 rank += 1
         return rank
 
@@ -430,7 +435,12 @@ def _is_prime(p: int) -> bool:
 
 
 class LinearMatroid(FiniteMatroid):
-    """Column matroid of a matrix over GF(p); element j is column j (1-based)."""
+    """Column matroid of a matrix over GF(p); element j is column j (1-based).
+
+    `rows` keeps the matrix as given, reduced mod p.  The rank oracle reads
+    `_columns`, stored once: over GF(2) each column is an int whose bit i is
+    its entry in row i, otherwise a tuple of its entries.
+    """
 
     kind = "linear"
 
@@ -446,28 +456,44 @@ class LinearMatroid(FiniteMatroid):
         super().__init__(range(1, width + 1), name)
         self.prime = prime
         self.rows = mat
+        columns = tuple(zip(*mat))
+        if prime == 2:
+            columns = tuple(sum(v << i for i, v in enumerate(col)) for col in columns)
+        self._columns = columns
 
     def _rank_of(self, mask: int) -> int:
-        if not mask:
-            return 0
-        p = self.prime
-        # work on the transpose: one row per selected column
-        work = [[row[c] for row in self.rows] for c in range(len(self.rows[0])) if mask >> c & 1]
-        rank = 0
-        width = len(self.rows)
-        for col in range(width):
-            pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            inv = pow(work[rank][col], p - 2, p)
-            work[rank] = [v * inv % p for v in work[rank]]
-            for r in range(len(work)):
-                if r != rank and work[r][col]:
-                    factor = work[r][col]
-                    work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[rank])]
-            rank += 1
-        return rank
+        """Rank of the selected columns, eliminated one at a time.
+
+        GF(2): `min(v, v ^ b)` clears the leading bit of each kept vector b
+        from v, and later kept vectors lack it too, so the reduced column
+        lacks every kept leading bit; it is 0 iff it lies in their span.
+        GF(p): a kept row is 1 at its pivot (its first non-zero entry) and 0
+        at every earlier pivot; subtracting v[c] * row zeroes v at pivot c, so
+        the reduced column is 0 at every pivot and is 0 iff it lies in the
+        span.  The loop stops once the rank reaches the number of rows.
+        """
+        p, columns, height = self.prime, self._columns, len(self.rows)
+        kept: list = []
+        while mask and len(kept) < height:
+            low = mask & -mask
+            mask ^= low
+            v = columns[low.bit_length() - 1]
+            if p == 2:
+                for b in kept:
+                    v = min(v, v ^ b)
+                if v:
+                    kept.append(v)
+            else:
+                for c, row in kept:
+                    f = v[c]
+                    if f:
+                        v = [(a - f * b) % p for a, b in zip(v, row)]
+                for c, a in enumerate(v):
+                    if a:
+                        inv = pow(a, p - 2, p)
+                        kept.append((c, [x * inv % p for x in v]))
+                        break
+        return len(kept)
 
 
 class ExplicitMatroid(FiniteMatroid):
@@ -520,10 +546,18 @@ class MinorMatroid(FiniteMatroid):
                          f"{parent.name}/{fmt(contracted)}\\{fmt(deleted)}")
         self.parent = parent
         self.contracted = contracted
-        self._base_rank = parent.rank(contracted)
+        # bit i of this minor is bit _lift[i] of the parent
+        self._lift = tuple(1 << parent._pos[e] for e in self._order)
+        self._contracted_mask = parent.mask_of(contracted)
+        self._base_rank = parent.rank_mask(self._contracted_mask)
 
     def _rank_of(self, mask: int) -> int:
-        return self.parent.rank(self.set_of(mask) | self.contracted) - self._base_rank
+        lifted, lift = self._contracted_mask, self._lift
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            lifted |= lift[low.bit_length() - 1]
+        return self.parent.rank_mask(lifted) - self._base_rank
 
 
 class OracleMatroid(FiniteMatroid):

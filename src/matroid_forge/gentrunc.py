@@ -96,11 +96,16 @@ def verify_family_masks(matroid: FiniteMatroid, masks: list[int]) -> Verdict:
     by_size: dict[int, list[int]] = {}
     for s in indep:
         by_size.setdefault(s.bit_count(), []).append(s)
+    # the first violator is the first member of the smallest incomplete size,
+    # missing that size's first independent set outside the family
     member_set = set(masks)
+    first_of_size: dict[int, int] = {}
     for m in masks:
-        for other in by_size[m.bit_count()]:
-            if other not in member_set:
-                return Verdict.violation("2", matroid.set_of(m), matroid.set_of(other))
+        first_of_size.setdefault(m.bit_count(), m)
+    for size, m in first_of_size.items():
+        other = next((s for s in by_size[size] if s not in member_set), None)
+        if other is not None:
+            return Verdict.violation("2", matroid.set_of(m), matroid.set_of(other))
 
     # nested-pair condition, exhaustive over independent I <= J
     below_member = growth_masks(masks)  # keys: the sets inside some member

@@ -4,7 +4,10 @@
 `reference_independent_sets` are the frozenset implementations the kernel
 had before it moved onto int masks, kept here unchanged as oracles.  The
 kernel must reproduce them exactly: the same verdict, tag and witness, and
-the same enumeration order.
+the same enumeration order.  `reference_linear_rank` and
+`reference_graphic_rank` are the rank oracles the linear and graphic
+backends had before they stored their columns and vertex ids once; every
+mask must get the same rank.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import pytest
 
 from matroid_forge import (
     ExplicitMatroid,
+    GraphicMatroid,
+    LinearMatroid,
     UniformMatroid,
     Verdict,
     check_base_axioms,
@@ -131,6 +136,51 @@ def reference_verify_family(matroid, family) -> Verdict:
                 break
             sub = (sub - 1) & jmask
     return Verdict.passed()
+
+
+def reference_linear_rank(m: LinearMatroid, mask: int) -> int:
+    if not mask:
+        return 0
+    p = m.prime
+    # work on the transpose: one row per selected column
+    work = [[row[c] for row in m.rows] for c in range(len(m.rows[0])) if mask >> c & 1]
+    rank = 0
+    width = len(m.rows)
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], p - 2, p)
+        work[rank] = [v * inv % p for v in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                factor = work[r][col]
+                work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+def reference_graphic_rank(m: GraphicMatroid, mask: int) -> int:
+    parent: dict[str, str] = {}
+
+    def find(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    rank = 0
+    for i, (u, v) in enumerate(m.edges):
+        if not mask >> i & 1:
+            continue
+        parent.setdefault(u, u)
+        parent.setdefault(v, v)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            rank += 1
+    return rank
 
 
 def same(got: Verdict, want: Verdict) -> bool:
@@ -281,3 +331,75 @@ class TestVerifyFamily:
             want = reference_verify_family(m, fam)
             assert same(verify_family(m, fam), want), (name, fam)
 
+
+
+def seeded_matrices():
+    """Matrices over GF(2), GF(3), GF(5) and GF(7) with 1-5 rows and 1-10
+    columns; some columns are zero, repeats or scalar multiples of others."""
+    rng = random.Random("rank-backends")
+    for p in (2, 3, 5, 7):
+        for _ in range(30):
+            height, width = rng.randint(1, 5), rng.randint(1, 10)
+            columns: list[list[int]] = []
+            for _ in range(width):
+                kind = rng.random()
+                if columns and kind < 0.15:
+                    columns.append(list(rng.choice(columns)))
+                elif columns and kind < 0.3:
+                    scale = rng.randrange(1, p)
+                    columns.append([v * scale for v in rng.choice(columns)])
+                elif kind < 0.4:
+                    columns.append([0] * height)
+                else:
+                    columns.append([rng.randrange(p) for _ in range(height)])
+            yield p, [list(row) for row in zip(*columns)]
+
+
+def seeded_multigraphs():
+    """Multigraphs with loops, parallel edges and several components, on
+    vertex names that only differ as strings ("1" and "01")."""
+    rng = random.Random("rank-backends")
+    names = ["1", "01", "a", "b", "2", "002", "x1"]
+    yield [("1", "a"), ("01", "a")]  # a path; merging "1" and "01" would close a cycle
+    for _ in range(60):
+        vertices = rng.sample(names, rng.randint(1, len(names)))
+        edges = []
+        for _ in range(rng.randint(1, 10)):
+            u = rng.choice(vertices)
+            kind = rng.random()
+            if kind < 0.15:
+                edges.append((u, u))
+            elif edges and kind < 0.3:
+                edges.append(rng.choice(edges))
+            else:
+                edges.append((u, rng.choice(vertices)))
+        yield edges
+
+
+class TestRankBackends:
+    def test_linear_matches_reference(self):
+        primes = set()
+        for p, rows in seeded_matrices():
+            m = LinearMatroid(p, rows)
+            for mask in range(1 << len(m.ground)):
+                assert m._rank_of(mask) == reference_linear_rank(m, mask), (p, rows, mask)
+            primes.add(p)
+        assert primes == {2, 3, 5, 7}
+
+    def test_graphic_matches_reference(self):
+        for edges in seeded_multigraphs():
+            m = GraphicMatroid(edges)
+            for mask in range(1 << len(m.ground)):
+                assert m._rank_of(mask) == reference_graphic_rank(m, mask), (edges, mask)
+
+    def test_multigraphs_cover_the_cases(self):
+        # loops, parallel edges, two or more components, and "1" beside "01"
+        seen = set()
+        for edges in seeded_multigraphs():
+            names = {v for e in edges for v in e}
+            m = GraphicMatroid(edges)
+            seen.add("loop" if any(u == v for u, v in edges) else None)
+            seen.add("parallel" if len(set(edges)) < len(edges) else None)
+            seen.add("components" if len(names) - m.full_rank >= 2 else None)
+            seen.add("1 and 01" if {"1", "01"} <= names else None)
+        assert {"loop", "parallel", "components", "1 and 01"} <= seen
