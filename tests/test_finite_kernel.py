@@ -7,12 +7,15 @@ kernel must reproduce them exactly: the same verdict, tag and witness, and
 the same enumeration order.  `reference_linear_rank` and
 `reference_graphic_rank` are the rank oracles the linear and graphic
 backends had before they stored their columns and vertex ids once; every
-mask must get the same rank.
+mask must get the same rank.  `reference_bm_sweep` is the BM sweep
+`check_base_masks` ran before it moved onto trace tables: one ascent per
+trace of every X, its end point looked up among the traces.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -23,15 +26,20 @@ from matroid_forge import (
     UniformMatroid,
     Verdict,
     check_base_axioms,
+    core,
     truncate_to,
     verify_family,
 )
 from matroid_forge.core import (
     AXIOM_CHECK_MAX_GROUND,
+    check_base_masks,
+    elements_of,
     exhaustive_bound,
     fmt,
     growth_masks,
     size_keys,
+    size_sorted,
+    trace_tables,
     upward_closure,
 )
 from matroid_forge.errors import BoundError, GroundError, SpecError
@@ -67,6 +75,21 @@ def reference_check_base_axioms(ground, family) -> Verdict:
         for t in traces:
             if not any(t <= s for s in maximal):
                 return Verdict.violation("BM", x, t)
+    return Verdict.passed()
+
+
+def reference_bm_sweep(order, masks) -> Verdict:
+    # growth masks looked up on the module, so a test's replacement reaches it
+    grow = core.growth_masks(masks)
+    for x in range(1 << len(order)):
+        traces = set(map(x.__and__, masks))
+        for t in traces:
+            u, g = t, grow[t] & x
+            while g:
+                u |= g & -g
+                g = grow[u] & x
+            if u not in traces:
+                return Verdict.violation("BM", elements_of(x, order), elements_of(t, order))
     return Verdict.passed()
 
 
@@ -183,6 +206,43 @@ def reference_graphic_rank(m: GraphicMatroid, mask: int) -> int:
     return rank
 
 
+def seeded_families():
+    """(n, masks) on grounds of 0-9 elements, members sorted by `size_keys`:
+    base families of uniform, GF(2) and GF(3) matroids (70%), and arbitrary
+    families of 0-8 sets (30%)."""
+    rng = random.Random("bm-sweep")
+    for _ in range(400):
+        n, kind = rng.randint(0, 9), rng.random()
+        if n and kind < 0.7:
+            if kind < 0.2:
+                m = UniformMatroid(rng.randint(0, n), n)
+            else:
+                p = 2 if kind < 0.45 else 3
+                m = LinearMatroid(p, [[rng.randrange(p) for _ in range(n)]
+                                      for _ in range(rng.randint(1, 4))])
+            masks = [m.mask_of(b) for b in m.bases()]
+        else:
+            masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 8))]
+        yield n, size_sorted(masks, n)
+
+
+def minimal_outside(closure, n: int) -> list[int]:
+    """The sets outside a down-closed set of masks whose every one-smaller subset is inside."""
+    return [s for s in range(1 << n) if s not in closure
+            and all(s ^ 1 << i in closure for i in range(n) if s >> i & 1)]
+
+
+def with_extra_set(grow: dict[int, int], extra: int) -> dict[int, int]:
+    """Growth masks with one more key, `extra`, whose one-smaller subsets gain its
+    bits: still down-closed and consistent, but not the growth masks of the family."""
+    grow = dict(grow)
+    grow[extra] = 0
+    for i in range(extra.bit_length()):
+        if extra >> i & 1:
+            grow[extra ^ 1 << i] |= 1 << i
+    return grow
+
+
 def same(got: Verdict, want: Verdict) -> bool:
     return (got.ok, got.tag, got.witness) == (want.ok, want.tag, want.witness)
 
@@ -256,6 +316,18 @@ class TestAxiomCheck:
         assert outcomes == {"accepted", "an explicit matroid needs at least one base",
                             "base family rejected: violation"}
 
+    def test_quarantine_at_the_declared_bound(self, monkeypatch):
+        # U(6,12) on AXIOM_CHECK_MAX_GROUND elements: 924 bases accepted;
+        # with {7,...,12} swapped for a 5-set the family is refused by B2
+        monkeypatch.delenv("MATROID_FORGE_MAX_GROUND", raising=False)
+        ground = range(1, AXIOM_CHECK_MAX_GROUND + 1)
+        bases = [set(c) for c in combinations(ground, AXIOM_CHECK_MAX_GROUND // 2)]
+        assert len(ExplicitMatroid(ground, bases).bases()) == 924
+        with pytest.raises(SpecError) as refused:
+            ExplicitMatroid(ground, bases[:-1] + [{7, 8, 9, 10, 11}])
+        assert str(refused.value) == \
+            "base family rejected: violation(B2; {7,8,9,10,11}, {1,2,3,4,5,6}, 7)"
+
     def test_upward_closure_against_brute_force(self):
         rng = random.Random("upward-closure")
         for n in range(13):
@@ -265,6 +337,39 @@ class TestAxiomCheck:
                          for _ in range(size)]
                 want = sum(1 << s for s in range(1 << n) if any(m & ~s == 0 for m in masks))
                 assert upward_closure(masks, n) == want, (n, masks)
+
+    def test_trace_tables_against_brute_force(self):
+        rng = random.Random("trace-tables")
+        for n in range(11):
+            for size in (0, 1, 3, 12):
+                density = rng.uniform(0.1, 0.6)
+                masks = [sum(1 << i for i in range(n) if rng.random() < density)
+                         for _ in range(size)]
+                want = [sum(1 << t for t in {x & m for m in masks}) for x in range(1 << n)]
+                assert trace_tables(masks, n) == want, (n, masks)
+
+    def test_bm_sweep_matches_reference(self, monkeypatch):
+        # each family runs with its true growth masks and with one extra
+        # minimal set, which the sweep has to catch wherever an ascent ends on
+        # it; B1 and B2 do not read the growth masks, and the tests above
+        # hold their verdicts against the frozenset reference
+        real = core.growth_masks
+        rng = random.Random("bm-sweep-extra")
+        reached = 0
+        for n, masks in seeded_families():
+            order = tuple(range(1, n + 1))
+            extra = minimal_outside(real(masks), n)
+            growths = [real]
+            if extra:
+                chosen = rng.choice(extra)
+                growths.append(lambda members, chosen=chosen: with_extra_set(real(members), chosen))
+            for growth in growths:
+                monkeypatch.setattr(core, "growth_masks", growth)
+                got = check_base_masks(order, masks)
+                want = got if got.tag in ("B1", "B2") else reference_bm_sweep(order, masks)
+                assert same(got, want), (n, masks, growth is real)
+                reached += want.tag == "BM"
+        assert reached >= 100
 
     def test_input_order_and_duplicates_ignored(self):
         fam = [{2, 3}, {1, 2}, {1}, {2, 3}]
@@ -293,6 +398,29 @@ class TestAxiomCheck:
             traces = {x & b for b in fam}
             pairwise = {t for t in traces if not any(t | s == s != t for s in traces)}
             assert {t for t in traces if not grow[t] & x} == pairwise, x
+
+    def test_lowest_first_ascent_is_one_ascending_pass(self):
+        # the growth masks' keys are down-closed, so adding the lowest
+        # addable position until none is left is one pass over the positions
+        # of X in ascending order; also on families that are not base
+        # families, and on growth masks with an extra minimal set
+        rng = random.Random("one-pass")
+        for n, masks in seeded_families():
+            grow = growth_masks(masks)
+            extra = minimal_outside(grow, n)
+            growths = [grow, with_extra_set(grow, rng.choice(extra))] if extra else [grow]
+            for g in growths:
+                for x in range(1 << n):
+                    for t in {x & m for m in masks}:
+                        lowest, left = t, g[t] & x
+                        while left:
+                            lowest |= left & -left
+                            left = g[lowest] & x
+                        one_pass = t
+                        for i in range(n):
+                            if x >> i & 1 and g[one_pass] >> i & 1:
+                                one_pass |= 1 << i
+                        assert one_pass == lowest, (masks, x, t)
 
 
 class TestEnumerationOrder:
