@@ -16,8 +16,10 @@ the input, check the ground and the declared bound, and convert to masks.
 The cores read no environment and check no bound: their callers do, once.
 
 An explicit base list is quarantined: the constructor refuses it unless the
-literal base axioms hold, so every matroid object in the system can be
-trusted to answer rank queries consistently.
+base axioms hold, so every matroid object in the system can be trusted to
+answer rank queries consistently.  On a finite ground non-emptiness (B1) and
+exchange (B2) decide them; the maximality axiom (BM) holds for every
+non-empty family (`check_base_masks` gives the proof).
 """
 
 from __future__ import annotations
@@ -111,25 +113,6 @@ def upward_closure(masks: Iterable[int], n: int) -> int:
     return table
 
 
-def trace_tables(masks: Iterable[int], n: int) -> list[int]:
-    """For every n-bit X, the 2^n-bit int whose bit S is set iff S = X & B for some member B.
-
-    The full set's table has the members' own bits.  For X below it, with i
-    the lowest position X lacks, the traces of X are those of X + i with i
-    dropped: the table of X + i folded by 2^i onto the sets that lack i.
-    """
-    full = (1 << n) - 1
-    lacking = _lacking(n)
-    tables = [0] * (1 << n)
-    for m in masks:
-        tables[full] |= 1 << m
-    for x in range(full - 1, -1, -1):
-        low = (x + 1) & ~x
-        t = tables[x | low]
-        tables[x] = (t | t >> low) & lacking[low.bit_length() - 1]
-    return tables
-
-
 def masks_of_size(n: int, k: int) -> Iterator[int]:
     """The k-subsets of positions 0..n-1 as masks, in (size, sorted elements) order."""
     for c in combinations(range(n), k):
@@ -146,31 +129,29 @@ def elements_of(mask: int, order: tuple[int, ...]) -> frozenset:
     return frozenset(found)
 
 
-def growth_masks(members: Iterable[int]) -> dict[int, int]:
-    """Growth mask of every set below some member of a family of masks.
+def down_closure(members: Iterable[int]) -> set[int]:
+    """Every set inside some member of a family of masks.
 
-    The keys are exactly the downward closure of the family.  Bit e is set in
-    `grow[t]` iff e is not in t and t + e lies inside some member.  Each set of
-    the closure is expanded once, level by level from the largest members down.
+    Each set of the closure is expanded once, level by level from the largest
+    members down.
     """
     by_size: dict[int, set[int]] = {}
     for b in members:
         by_size.setdefault(b.bit_count(), set()).add(b)
-    grow: dict[int, int] = {}
+    closure: set[int] = set()
     level: set[int] = set()
     for size in range(max(by_size, default=-1), -1, -1):
         level |= by_size.get(size, set())
+        closure |= level
         below: set[int] = set()
         for s in level:
-            grow.setdefault(s, 0)
             rest = s
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                grow[s ^ bit] = grow.get(s ^ bit, 0) | bit
                 below.add(s ^ bit)
         level = below
-    return grow
+    return closure
 
 
 @dataclass(frozen=True)
@@ -544,9 +525,9 @@ class ExplicitMatroid(FiniteMatroid):
         return max((mask & b).bit_count() for b in self._base_masks)
 
     @cached_property
-    def _independent(self) -> frozenset[int]:
+    def _independent(self) -> set[int]:
         """Masks of the independent sets: the downward closure of the bases."""
-        return frozenset(growth_masks(self._base_masks))
+        return down_closure(self._base_masks)
 
     def independent_mask(self, mask: int) -> bool:
         return mask in self._independent
@@ -598,10 +579,10 @@ def check_base_axioms(ground: Iterable[int], family: Iterable[Iterable[int]]) ->
     Normalises the ground and the members, refuses a ground past the declared
     bound and a member outside the ground (the first such in size order),
     and runs `check_base_masks` on the members as masks over the sorted
-    ground.  There B2 is one bit test per (member, element) on the family's
-    upward-closure table, and BM one ascending pass per subset X that moves
-    every trace of X at once, on a 2^n-bit table, to a maximal one and holds
-    the end points against the traces; its docstring proves both exact.
+    ground.  There B1 is non-emptiness and B2 one bit test per (member,
+    element) on the family's upward-closure table; BM holds for every
+    non-empty family on a finite ground.  Its docstring proves B2 exact and
+    BM a theorem.
     """
     order = tuple(sorted({int(e) for e in ground}))
     check_bound("axiom check", len(order), AXIOM_CHECK_MAX_GROUND)
@@ -627,14 +608,16 @@ def check_base_axioms(ground: Iterable[int], family: Iterable[Iterable[int]]) ->
 def check_base_masks(order: tuple[int, ...], masks: list[int]) -> Verdict:
     """The base axioms on distinct member masks over `order`, sorted by `size_keys`.
 
-    Verifies non-emptiness (B1), the pairwise exchange axiom (B2), and - for
-    every subset X of the ground set - that the maximal traces X & B are
-    cofinal among all traces (BM).  On a finite ground BM cannot fail, but the
-    contract is to check it as written: every X is visited and the end point
-    of every trace's ascent is held against the member traces of X.
+    Verifies non-emptiness (B1) and the pairwise exchange axiom (B2).
     Violations carry a witness that replays the failure.  Members are visited
     in (size, sorted elements) order, so the first violation found is the
     same whatever the input order.
+
+    The maximality axiom (BM: for every subset X, the maximal traces X & B
+    are cofinal among all traces) holds for every non-empty family on a
+    finite ground, so it is never reported.  Given a trace t of X, the traces
+    of X that contain t form a finite set holding t; a largest one, u, is
+    maximal, since a trace above u would also contain t and be larger.
 
     B2 is decided by one bit test per (member, element) on the upward-closure
     table T of the family (`upward_closure`).  For x in B0, let Y be the
@@ -645,31 +628,6 @@ def check_base_masks(order: tuple[int, ...], masks: list[int]) -> Verdict:
     member (x is one, as B0 is a member).  On the first member B0 with a
     hit, the pairwise scan runs for B0 alone and names the same (B0, B1, x)
     as a scan over all pairs would.
-
-    BM: a trace t = X & B is maximal among the traces of X iff no e in
-    X - t has t + e inside some member, i.e. iff `grow[t] & X == 0` for the
-    growth masks of the family (`growth_masks`).  From each trace t the
-    check ascends by adding the lowest bit of `grow[u] & X` until none is
-    left, and requires the end point u to be a trace of X.  It is one: u
-    lies inside X and inside some member B', so u <= X & B', and any e in
-    (X & B') - u has u + e inside B', so e would be in `grow[u] & X`; hence
-    u = X & B'.  The loop's exit makes u maximal, and u contains t.
-
-    The ascents of all traces of X run at once, on 2^n-bit tables whose bit
-    u stands for the set u.  `trace_tables` gives T_X, the traces of X; it
-    is exact because (X + i) & B with i dropped is X & B.  Bit u of
-    `addable[i]` is set iff i is not in u and u + i is a key of the growth
-    masks, i.e. iff bit i of `grow[u]` is set.  The keys are down-closed, so
-    a position that cannot be added at u cannot be added at any larger u
-    either: the lowest-first ascent adds positions in ascending order, and
-    adds i iff i can be added once every lower position has been passed.
-    One ascending pass over the positions of X, moving every state that can
-    take i to state + i, is therefore the same ascent, and two states that
-    meet in the table go on identically, since the rest of the pass depends
-    only on the state.  After the pass the set bits are the end points of
-    all the ascents, and BM holds at X iff none lies outside T_X.  On the
-    first X with an end point outside, the per-trace ascent runs for X alone
-    and names the same (X, t) as the per-trace check over every X would.
     """
     if not masks:
         return Verdict.violation("B1")
@@ -704,29 +662,6 @@ def check_base_masks(order: tuple[int, ...], masks: list[int]) -> Verdict:
                     return Verdict.violation("B2", elements_of(m0, order),
                                              elements_of(m1, order), order[x.bit_length() - 1])
 
-    grow = growth_masks(masks)
-    keys = 0
-    for u in grow:
-        keys |= 1 << u
-    addable = [keys >> (1 << i) & lacking for i, lacking in enumerate(_lacking(n))]
-    for x, traced in enumerate(trace_tables(masks, n)):
-        ends, rest = traced, x
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            moving = ends & addable[bit.bit_length() - 1]
-            if moving:
-                ends = ends & ~moving | moving << bit
-        if not ends & ~traced:
-            continue
-        traces = set(map(x.__and__, masks))
-        for t in traces:
-            u, g = t, grow[t] & x
-            while g:
-                u |= g & -g
-                g = grow[u] & x
-            if u not in traces:
-                return Verdict.violation("BM", elements_of(x, order), elements_of(t, order))
     return Verdict.passed()
 
 

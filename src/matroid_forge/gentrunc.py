@@ -28,7 +28,7 @@ from .core import (
     Verdict,
     check_base_masks,
     check_bound,
-    growth_masks,
+    down_closure,
     size_order,
     size_sorted,
     upward_closure,
@@ -108,7 +108,7 @@ def verify_family_masks(matroid: FiniteMatroid, masks: list[int]) -> Verdict:
             return Verdict.violation("2", matroid.set_of(m), matroid.set_of(other))
 
     # nested-pair condition, exhaustive over independent I <= J
-    below_member = growth_masks(masks)  # keys: the sets inside some member
+    below_member = down_closure(masks)
     for jmask in indep:
         if jmask in below_member:
             continue  # some member contains J, settling every I below it

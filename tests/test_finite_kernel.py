@@ -7,9 +7,10 @@ kernel must reproduce them exactly: the same verdict, tag and witness, and
 the same enumeration order.  `reference_linear_rank` and
 `reference_graphic_rank` are the rank oracles the linear and graphic
 backends had before they stored their columns and vertex ids once; every
-mask must get the same rank.  `reference_bm_sweep` is the BM sweep
-`check_base_masks` ran before it moved onto trace tables: one ascent per
-trace of every X, its end point looked up among the traces.
+mask must get the same rank.  `reference_bm` is the literal maximality
+axiom (BM) over every subset X of the ground; the kernel does not check BM,
+which holds for every non-empty family on a finite ground, and
+`test_bm_is_a_theorem_on_a_finite_ground` holds the reference to that.
 """
 
 from __future__ import annotations
@@ -32,14 +33,12 @@ from matroid_forge import (
 )
 from matroid_forge.core import (
     AXIOM_CHECK_MAX_GROUND,
-    check_base_masks,
+    down_closure,
     elements_of,
     exhaustive_bound,
     fmt,
-    growth_masks,
     size_keys,
     size_sorted,
-    trace_tables,
     upward_closure,
 )
 from matroid_forge.errors import BoundError, GroundError, SpecError
@@ -67,29 +66,18 @@ def reference_check_base_axioms(ground, family) -> Verdict:
             for x in sorted(b0 - b1):
                 if not any((b0 - {x}) | {y} in fset for y in only_b1):
                     return Verdict.violation("B2", b0, b1, x)
-    order = sorted(g)
+    return reference_bm(g, fam)
+
+
+def reference_bm(ground, family) -> Verdict:
+    order = sorted(ground)
     for mask in range(1 << len(order)):
         x = frozenset(e for i, e in enumerate(order) if mask >> i & 1)
-        traces = {x & b for b in fam}
+        traces = {x & b for b in family}
         maximal = [t for t in traces if not any(t < s for s in traces)]
         for t in traces:
             if not any(t <= s for s in maximal):
                 return Verdict.violation("BM", x, t)
-    return Verdict.passed()
-
-
-def reference_bm_sweep(order, masks) -> Verdict:
-    # growth masks looked up on the module, so a test's replacement reaches it
-    grow = core.growth_masks(masks)
-    for x in range(1 << len(order)):
-        traces = set(map(x.__and__, masks))
-        for t in traces:
-            u, g = t, grow[t] & x
-            while g:
-                u |= g & -g
-                g = grow[u] & x
-            if u not in traces:
-                return Verdict.violation("BM", elements_of(x, order), elements_of(t, order))
     return Verdict.passed()
 
 
@@ -226,23 +214,6 @@ def seeded_families():
         yield n, size_sorted(masks, n)
 
 
-def minimal_outside(closure, n: int) -> list[int]:
-    """The sets outside a down-closed set of masks whose every one-smaller subset is inside."""
-    return [s for s in range(1 << n) if s not in closure
-            and all(s ^ 1 << i in closure for i in range(n) if s >> i & 1)]
-
-
-def with_extra_set(grow: dict[int, int], extra: int) -> dict[int, int]:
-    """Growth masks with one more key, `extra`, whose one-smaller subsets gain its
-    bits: still down-closed and consistent, but not the growth masks of the family."""
-    grow = dict(grow)
-    grow[extra] = 0
-    for i in range(extra.bit_length()):
-        if extra >> i & 1:
-            grow[extra ^ 1 << i] |= 1 << i
-    return grow
-
-
 def same(got: Verdict, want: Verdict) -> bool:
     return (got.ok, got.tag, got.witness) == (want.ok, want.tag, want.witness)
 
@@ -338,38 +309,43 @@ class TestAxiomCheck:
                 want = sum(1 << s for s in range(1 << n) if any(m & ~s == 0 for m in masks))
                 assert upward_closure(masks, n) == want, (n, masks)
 
-    def test_trace_tables_against_brute_force(self):
-        rng = random.Random("trace-tables")
-        for n in range(11):
+    def test_down_closure_against_brute_force(self):
+        rng = random.Random("down-closure")
+        for n in range(13):
             for size in (0, 1, 3, 12):
                 density = rng.uniform(0.1, 0.6)
                 masks = [sum(1 << i for i in range(n) if rng.random() < density)
                          for _ in range(size)]
-                want = [sum(1 << t for t in {x & m for m in masks}) for x in range(1 << n)]
-                assert trace_tables(masks, n) == want, (n, masks)
+                for fam in (masks, masks + [0]):
+                    want = {s for s in range(1 << n) if any(s & ~m == 0 for m in fam)}
+                    assert down_closure(fam) == want, (n, fam)
 
-    def test_bm_sweep_matches_reference(self, monkeypatch):
-        # each family runs with its true growth masks and with one extra
-        # minimal set, which the sweep has to catch wherever an ascent ends on
-        # it; B1 and B2 do not read the growth masks, and the tests above
-        # hold their verdicts against the frozenset reference
-        real = core.growth_masks
-        rng = random.Random("bm-sweep-extra")
-        reached = 0
+    def test_bm_is_a_theorem_on_a_finite_ground(self):
+        # the literal BM holds on every non-empty family, also on those that
+        # are no base family or fail B2, so the kernel's B1 and B2 decide
+        reached = set()
         for n, masks in seeded_families():
             order = tuple(range(1, n + 1))
-            extra = minimal_outside(real(masks), n)
-            growths = [real]
-            if extra:
-                chosen = rng.choice(extra)
-                growths.append(lambda members, chosen=chosen: with_extra_set(real(members), chosen))
-            for growth in growths:
-                monkeypatch.setattr(core, "growth_masks", growth)
-                got = check_base_masks(order, masks)
-                want = got if got.tag in ("B1", "B2") else reference_bm_sweep(order, masks)
-                assert same(got, want), (n, masks, growth is real)
-                reached += want.tag == "BM"
-        assert reached >= 100
+            fam = [elements_of(m, order) for m in masks]
+            want = reference_check_base_axioms(order, fam)
+            assert same(check_base_axioms(order, fam), want), (n, masks)
+            reached.add(want.tag)
+            if fam:
+                assert reference_bm(order, fam), (n, masks)
+        assert reached == {None, "B1", "B2"}
+
+    def test_quarantine_builds_no_closure(self, monkeypatch):
+        # the axiom check reads no down-closure; the independent sets are the
+        # closure of the bases, built on the first query and kept
+        calls = []
+        real = core.down_closure
+        monkeypatch.setattr(core, "down_closure", lambda members: calls.append(1) or real(members))
+        m = ExplicitMatroid(range(1, 6), [set(c) for c in combinations(range(1, 6), 2)])
+        assert not calls
+        assert m.independent_mask(0b00011)
+        assert len(calls) == 1
+        assert not m.independent_mask(0b00111) and m.is_independent({4, 5})
+        assert len(calls) == 1
 
     def test_input_order_and_duplicates_ignored(self):
         fam = [{2, 3}, {1, 2}, {1}, {2, 3}]
@@ -388,39 +364,6 @@ class TestAxiomCheck:
                 check_base_axioms(ground, fam)
             if error is GroundError:
                 assert str(got.value) == str(want.value)
-
-    def test_growth_lookup_decides_maximality(self):
-        # maximal traces found by the growth lookup equal those found by
-        # pairwise comparison, on a family that is not a base family
-        fam = [0b0011, 0b0110, 0b1000, 0b1101, 0b0001]
-        grow = growth_masks(fam)
-        for x in range(16):
-            traces = {x & b for b in fam}
-            pairwise = {t for t in traces if not any(t | s == s != t for s in traces)}
-            assert {t for t in traces if not grow[t] & x} == pairwise, x
-
-    def test_lowest_first_ascent_is_one_ascending_pass(self):
-        # the growth masks' keys are down-closed, so adding the lowest
-        # addable position until none is left is one pass over the positions
-        # of X in ascending order; also on families that are not base
-        # families, and on growth masks with an extra minimal set
-        rng = random.Random("one-pass")
-        for n, masks in seeded_families():
-            grow = growth_masks(masks)
-            extra = minimal_outside(grow, n)
-            growths = [grow, with_extra_set(grow, rng.choice(extra))] if extra else [grow]
-            for g in growths:
-                for x in range(1 << n):
-                    for t in {x & m for m in masks}:
-                        lowest, left = t, g[t] & x
-                        while left:
-                            lowest |= left & -left
-                            left = g[lowest] & x
-                        one_pass = t
-                        for i in range(n):
-                            if x >> i & 1 and g[one_pass] >> i & 1:
-                                one_pass |= 1 << i
-                        assert one_pass == lowest, (masks, x, t)
 
 
 class TestEnumerationOrder:
