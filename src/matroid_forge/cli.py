@@ -116,12 +116,13 @@ def _verdict_exit(report: Report, verdict: Verdict) -> int:
     """Add the `verdict` row and return its exit code: the one place a verdict is rendered.
 
     A forcing claim reads `claimN-violated(rep)` or
-    `task-satisfiable-directly(member)`; unmet task pairs (a `4` violation
-    whose witnesses are pairs) read `unmet tasks: N`, followed by one `unmet`
-    row per pair; any other verdict reads as `str(verdict)`.
+    `task-satisfiable-directly(member)`; unmet task pairs (a `4` violation,
+    which only `verify_family_finitary` reports) read `unmet tasks: N`,
+    followed by one `unmet` row per pair; any other verdict reads as
+    `str(verdict)`.
     """
     tag, witness = verdict.tag, verdict.witness
-    unmet = witness if tag == "4" and isinstance(witness[0], tuple) else ()
+    unmet = witness if tag == "4" else ()
     if tag in ("claim1", "claim2"):
         report.add("verdict", f"{tag}-violated({fmt(witness[0])})")
     elif tag == "task-satisfiable-directly":

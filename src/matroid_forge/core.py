@@ -36,6 +36,10 @@ from .errors import BoundError, DependenceError, GroundError, SpecError
 # them at runtime.
 AXIOM_CHECK_MAX_GROUND = 12
 ENUMERATION_MAX_GROUND = 12
+# Bounds on construction parameters, checked before any work; the environment
+# does not lower them.
+UNIFORM_MAX_GROUND = 1 << 16
+LINEAR_MAX_PRIME = 1 << 31
 
 
 def exhaustive_bound(default: int) -> int:
@@ -375,6 +379,8 @@ class UniformMatroid(FiniteMatroid):
     def __init__(self, k: int, n: int, name: str | None = None):
         if not 0 <= k <= n:
             raise SpecError(f"uniform matroid needs 0 <= k <= n, got k={k}, n={n}")
+        if n > UNIFORM_MAX_GROUND:
+            raise BoundError(f"uniform matroid limited to {UNIFORM_MAX_GROUND} elements, got {n}")
         super().__init__(range(1, n + 1), name or f"u{k}{n}")
         self.k = k
         self.n = n
@@ -445,6 +451,8 @@ class LinearMatroid(FiniteMatroid):
     kind = "linear"
 
     def __init__(self, prime: int, rows: Iterable[Iterable[int]], name: str = "l"):
+        if prime > LINEAR_MAX_PRIME:
+            raise BoundError(f"linear matroid prime limited to {LINEAR_MAX_PRIME}, got {prime}")
         if not _is_prime(prime):
             raise SpecError(f"{prime} is not prime")
         mat = tuple(tuple(int(v) % prime for v in row) for row in rows)

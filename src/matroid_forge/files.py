@@ -58,6 +58,13 @@ def _ints(words: Iterable[str], line: int) -> list[int]:
         raise ParseError(f"expected integers, got {' '.join(words)}", line) from exc
 
 
+def _int(word: str, line: int) -> int:
+    try:
+        return int(word)
+    except ValueError as exc:
+        raise ParseError(f"expected an integer, got {word!r}", line) from exc
+
+
 def _kv(words: list[str], line: int) -> dict[str, str]:
     out = {}
     for w in words:
@@ -88,12 +95,14 @@ def parse_setspec(words: list[str], line: int = 0) -> TemplateSet:
             raise ParseError(f"unknown template fields {sorted(unknown)}", line)
         try:
             return TemplateSet(
-                period=int(kv.get("d", "1")),
+                period=_int(kv.get("d", "1"), line),
                 residues=_int_list(kv.get("res", ""), line),
-                threshold=int(kv.get("t", "0")),
+                threshold=_int(kv.get("t", "0"), line),
                 low=_int_list(kv.get("low", ""), line),
                 minus=_int_list(kv.get("minus", ""), line),
             )
+        except ParseError:
+            raise
         except MatroidForgeError as exc:
             raise ParseError(str(exc), line) from exc
     if head == "evens":
@@ -130,7 +139,7 @@ def _build_matroid(name: str, kind: str | None, state: dict, line: int):
             kv = state.get("params")
             if kv is None:
                 raise ParseError("uniform matroid needs a `params k=.. n=..` line", line)
-            return UniformMatroid(int(kv["k"]), int(kv["n"]), name)
+            return UniformMatroid(kv["k"], kv["n"], name)
         if kind == "graphic":
             return GraphicMatroid(state.get("edges", []), name)
         if kind == "linear":
@@ -184,7 +193,7 @@ def parse_matroid_text(text: str):
         elif head == "params":
             if kind != "uniform":
                 raise ParseError("`params` only applies to kind uniform", line)
-            state["params"] = _kv(rest, line)
+            state["params"] = {k: _int(v, line) for k, v in _kv(rest, line).items()}
         elif head == "edge":
             if kind != "graphic":
                 raise ParseError("`edge` only applies to kind graphic", line)
@@ -194,7 +203,9 @@ def parse_matroid_text(text: str):
         elif head == "prime":
             if kind != "linear":
                 raise ParseError("`prime` only applies to kind linear", line)
-            state["prime"] = _ints(rest, line)[0]
+            if len(rest) != 1:
+                raise ParseError("prime takes exactly one value", line)
+            state["prime"] = _int(rest[0], line)
         elif head == "row":
             if kind != "linear":
                 raise ParseError("`row` only applies to kind linear", line)

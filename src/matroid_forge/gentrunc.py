@@ -4,12 +4,15 @@ A family F of independent sets is the base family of a generalised
 truncation of M iff it is non-empty, closed under balanced finite exchange
 inside the independent sets of M, no proper subset of a member spans a
 member, and every nested independent pair (I, J) below a member can be
-settled inside F.  `verify_family` checks those four conditions literally;
+settled inside F.  On a finite matroid of rank r the first three conditions
+already make F one complete size level L_k of the independent sets, and a
+level settles every nested pair, so the generalised truncations are exactly
+L_0, ..., L_r.  `verify_family` checks conditions 1-3 and states that proof;
 `verify_is_gen_truncation` checks the truncation definition itself
 (independence containment plus forced augmentation), giving an independent
 second route that the tests hold against the first.
 
-Enumeration comes in two flavours: a level-structured fast path and a raw
+Enumeration comes in two flavours: the levels themselves, and a raw
 2^|independents| sweep with no structural shortcuts, kept as the oracle.
 
 On a countable schema, `TruncationFamily.build` decides a family once, on one
@@ -23,12 +26,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
-    AXIOM_CHECK_MAX_GROUND,
     FiniteMatroid,
     Verdict,
-    check_base_masks,
     check_bound,
-    down_closure,
     size_order,
     size_sorted,
     upward_closure,
@@ -44,12 +44,13 @@ RAW_ENUM_MAX_INDEP = 16
 
 
 def verify_family(matroid: FiniteMatroid, family: Iterable[Iterable[int]]) -> Verdict:
-    """Check the four base-family conditions for a generalised truncation.
+    """Decide the four base-family conditions for a generalised truncation.
 
     Refuses a ground past the declared bound and a member outside the
     ground, then runs `verify_family_masks` on the distinct members as masks.
     There condition 3 (no member inside span(B - e)) is one bit test on the
-    family's upward-closure table per member B and element e.
+    family's upward-closure table per member B and element e, and condition
+    4 follows from conditions 1-3.
     """
     check_bound("family verification", len(matroid.ground), VERIFY_FAMILY_MAX_GROUND)
     masks = (matroid._subset_mask(b, "family member") for b in family)
@@ -57,18 +58,29 @@ def verify_family(matroid: FiniteMatroid, family: Iterable[Iterable[int]]) -> Ve
 
 
 def verify_family_masks(matroid: FiniteMatroid, masks: list[int]) -> Verdict:
-    """The four base-family conditions on distinct member masks sorted by `size_keys`.
+    """The base-family conditions on distinct member masks sorted by `size_keys`.
 
     Violations carry (condition tag, witness tuple) and replay: condition 2
     witnesses are (member, missing same-size independent), condition 3
-    witnesses are (member, spanned member, proper subset), condition 4
-    witnesses are the unsettled nested pair (I, J).  Witnesses are
+    witnesses are (member, spanned member, proper subset).  Witnesses are
     frozensets.
 
     Condition 3 asks whether some member lies inside span(B - e); that is
     bit span(B - e) of the family's upward-closure table (`upward_closure`).
     On the first hit, the members are scanned for the first one inside that
     span, which is the witness a scan of every member would give.
+
+    Condition 4 (every nested independent pair I <= J with I below a member
+    is settled: a member contains J, or one lies between I and J) is not
+    checked, because on a matroid conditions 1-3 imply it.  Passing them
+    makes the family one complete size level L_k: condition 1 makes the
+    members independent and condition 2 makes the level of each member size
+    complete.  Condition 3 excludes two sizes i < j: take a size-j member B
+    and e in B; an i-subset of B - e is independent, hence a member, and it
+    lies inside span(B - e).  L_k then settles every nested pair.  An
+    independent J with |J| <= k extends to a member, by augmentation.  If
+    |J| > k, any I <= J below a member has |I| <= k, and I plus k - |I|
+    elements of J - I is a member between I and J.
     """
     if not masks:
         return Verdict.violation("1")
@@ -90,11 +102,9 @@ def verify_family_masks(matroid: FiniteMatroid, masks: list[int]) -> Verdict:
                 return Verdict.violation("3", matroid.set_of(m), matroid.set_of(other),
                                          matroid.set_of(m ^ bit))
 
-    indep = matroid.independent_masks()
-
     # balanced finite exchange: for finite sets, |B-B'| = |B'-B| means equal size
     by_size: dict[int, list[int]] = {}
-    for s in indep:
+    for s in matroid.independent_masks():
         by_size.setdefault(s.bit_count(), []).append(s)
     # the first violator is the first member of the smallest incomplete size,
     # missing that size's first independent set outside the family
@@ -106,20 +116,6 @@ def verify_family_masks(matroid: FiniteMatroid, masks: list[int]) -> Verdict:
         other = next((s for s in by_size[size] if s not in member_set), None)
         if other is not None:
             return Verdict.violation("2", matroid.set_of(m), matroid.set_of(other))
-
-    # nested-pair condition, exhaustive over independent I <= J
-    below_member = down_closure(masks)
-    for jmask in indep:
-        if jmask in below_member:
-            continue  # some member contains J, settling every I below it
-        inside = [fm for fm in masks if fm & ~jmask == 0]
-        sub = jmask
-        while True:
-            if sub in below_member and not any(fm & sub == sub for fm in inside):
-                return Verdict.violation("4", matroid.set_of(sub), matroid.set_of(jmask))
-            if sub == 0:
-                break
-            sub = (sub - 1) & jmask
     return Verdict.passed()
 
 
@@ -151,35 +147,27 @@ def family_sort_key(family: frozenset):
 
 
 def enumerate_gen_truncations(matroid: FiniteMatroid) -> list[frozenset]:
-    """All base families of generalised truncations: the single size levels that verify.
+    """All base families of generalised truncations: the size levels L_0, ..., L_r.
 
     Balanced-exchange closure forces any candidate to be a union of complete
     size levels of the independent sets (equal finite differences mean equal
-    size).  Condition 3 then leaves one level: if levels i < j were both
-    present, take a size-j member B and an element e of B; every i-subset of
-    B - e is independent (independence is downward closed in a matroid),
-    hence a member, and it lies inside span(B - e).
-    So only the r + 1 single levels are tried, not the 2^(r+1) - 1 unions;
-    each survivor is re-validated by `verify_family_masks` and by the literal
-    base axioms.  The families stay masks until the survivors are returned.
-    `enumerate_raw` is the shortcut-free oracle this reduction is tested
-    against.
+    size), and condition 3 leaves one level (`verify_family_masks`).  Each
+    L_k passes conditions 1-3: its members are independent, it is a whole
+    level, and no member of size k lies inside span(B - e), which has rank
+    k - 1.  Conditions 1-3 imply condition 4, so the families are exactly
+    the levels, in size order.  L_k is also the base family of the
+    k-truncation, so the base axioms B1 and B2 hold for it.  `enumerate_raw`
+    is the shortcut-free oracle this is tested against.
     """
-    n = len(matroid.ground)
-    check_bound("level enumeration", n,
-                min(LEVEL_ENUM_MAX_GROUND, VERIFY_FAMILY_MAX_GROUND, AXIOM_CHECK_MAX_GROUND))
+    check_bound("level enumeration", len(matroid.ground), LEVEL_ENUM_MAX_GROUND)
     r = matroid.full_rank
     levels: list[list[int]] = [[] for _ in range(r + 1)]
     for m in matroid.independent_masks():
-        # a rank oracle that is no matroid may call larger sets independent
+        # a rank oracle that is no matroid may call larger sets independent,
+        # or leave a level empty
         if m.bit_count() <= r:
             levels[m.bit_count()].append(m)
-    found = [level for level in levels if verify_family_masks(matroid, level)]
-    for masks in found:
-        axioms = check_base_masks(matroid._order, masks)
-        if not axioms:
-            raise FamilyError(f"enumerated family fails base axioms: {axioms}")
-    return sorted((frozenset(map(matroid.set_of, masks)) for masks in found), key=family_sort_key)
+    return [frozenset(map(matroid.set_of, level)) for level in levels if level]
 
 
 def enumerate_raw(matroid: FiniteMatroid) -> list[frozenset]:

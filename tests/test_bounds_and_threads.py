@@ -1,7 +1,8 @@
-"""Environment-variable bound override and concurrent query safety."""
+"""Declared bounds, their environment-variable override, and concurrent query safety."""
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -9,13 +10,15 @@ from matroid_forge import (
     BoundError,
     ExplicitMatroid,
     GraphicMatroid,
+    LinearMatroid,
     UniformMatroid,
     check_base_axioms,
     classify_truncation,
+    enumerate_gen_truncations,
     truncate_to,
 )
 from matroid_forge.cli import EXIT_OK, EXIT_USAGE, dispatch
-from matroid_forge.core import exhaustive_bound
+from matroid_forge.core import LINEAR_MAX_PRIME, UNIFORM_MAX_GROUND, exhaustive_bound
 
 # K5 plus a pendant path of three edges: a graphic matroid on 13 elements
 K5_PLUS_PATH = [(u, v) for i, u in enumerate("abcde") for v in "abcde"[i + 1:]] + [
@@ -77,6 +80,19 @@ class TestEnumerationBounds:
         for argv in self.commands(files["u9"]):
             assert dispatch(argv)[0] == EXIT_USAGE, argv
 
+    def test_level_enumeration_bound(self, tmp_path, monkeypatch):
+        with pytest.raises(BoundError, match="level enumeration limited to 10 elements, got 11"):
+            enumerate_gen_truncations(UniformMatroid(2, 11))
+        path = tmp_path / "u211.txt"
+        path.write_text("matroid u211\nkind uniform\nparams k=2 n=11\n")
+        code, report = dispatch(["gentrunc", "enumerate", "--matroid", str(path)])
+        assert code == EXIT_USAGE
+        assert ("error", "level enumeration limited to 10 elements, got 11") in report.rows
+        assert len(enumerate_gen_truncations(UniformMatroid(2, 6))) == 3
+        monkeypatch.setenv("MATROID_FORGE_MAX_GROUND", "5")
+        with pytest.raises(BoundError, match="level enumeration limited to 5 elements, got 6"):
+            enumerate_gen_truncations(UniformMatroid(2, 6))
+
     def test_library_guards(self, monkeypatch):
         u9 = UniformMatroid(4, 9)
         explicit = ExplicitMatroid(u9.ground, u9.bases(), _checked=True)
@@ -87,6 +103,34 @@ class TestEnumerationBounds:
                 call()
         # an explicit base list is not enumerated, so it is not guarded
         assert len(explicit.bases()) == 126
+
+
+class TestConstructionBounds:
+    """A tiny file asking for a huge uniform ground or prime is refused before any work."""
+
+    @pytest.mark.parametrize("text, error", [
+        ("matroid u\nkind uniform\nparams k=1 n=10000000\n",
+         "line 3: uniform matroid limited to 65536 elements, got 10000000"),
+        ("matroid l\nkind linear\nprime 2305843009213693951\nrow 1 0\n",
+         "line 4: linear matroid prime limited to 2147483648, got 2305843009213693951"),
+    ])
+    def test_huge_parameter_exits_two_fast(self, tmp_path, text, error):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, report = dispatch(["axioms", "check", "--matroid", str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_USAGE
+        assert ("error", error) in report.rows
+
+    def test_bounds_are_inclusive_and_not_lowered(self, monkeypatch):
+        monkeypatch.setenv("MATROID_FORGE_MAX_GROUND", "5")
+        assert len(UniformMatroid(1, UNIFORM_MAX_GROUND).ground) == UNIFORM_MAX_GROUND
+        assert LinearMatroid(LINEAR_MAX_PRIME - 1, [[1, 2]]).full_rank == 1  # 2^31 - 1 is prime
+        with pytest.raises(BoundError):
+            UniformMatroid(1, UNIFORM_MAX_GROUND + 1)
+        with pytest.raises(BoundError):
+            LinearMatroid(LINEAR_MAX_PRIME + 1, [[1]])
 
 
 def test_concurrent_queries_agree():

@@ -90,6 +90,26 @@ class TestExitCodes:
             assert code == EXIT_USAGE
             assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("matroid, spec, error", [
+        ("matroid l\nkind linear\nprime\nrow 1 0\n", None,
+         "line 3: prime takes exactly one value"),
+        ("matroid u\nkind uniform\nparams k=a n=3\n", None,
+         "line 3: expected an integer, got 'a'"),
+        (None, "template d=abc res=0", "line 1: expected an integer, got 'abc'"),
+        (None, "template t=x", "line 1: expected an integer, got 'x'"),
+        (None, "template d=4 res=a", "line 1: expected integers, got a"),
+    ])
+    def test_malformed_number_is_two(self, workdir, matroid, spec, error):
+        # a malformed number is a parse error naming its line once, not a crash
+        if matroid is None:
+            argv = ["equiv", "classify", "--matroid", str(workdir / "free.txt"), "--set", spec]
+        else:
+            (workdir / "bad.txt").write_text(matroid)
+            argv = ["axioms", "check", "--matroid", str(workdir / "bad.txt")]
+        code, report = dispatch(argv)
+        assert code == EXIT_USAGE
+        assert report_rows(report)["error"] == [error]
+
     def test_false_equiv_is_one(self, workdir):
         code, _ = dispatch([
             "equiv", "almost-spans",

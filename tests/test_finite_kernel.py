@@ -11,6 +11,11 @@ mask must get the same rank.  `reference_bm` is the literal maximality
 axiom (BM) over every subset X of the ground; the kernel does not check BM,
 which holds for every non-empty family on a finite ground, and
 `test_bm_is_a_theorem_on_a_finite_ground` holds the reference to that.
+Likewise `reference_verify_family` checks condition 4, the nested-pair
+condition, literally, while the kernel stops after condition 3, which
+implies it on a matroid, so condition 4 runs only in the reference.
+`TestLevelEnumeration` holds the size levels that `enumerate_gen_truncations`
+returns to both literal references.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from matroid_forge import (
     Verdict,
     check_base_axioms,
     core,
+    enumerate_gen_truncations,
     truncate_to,
     verify_family,
 )
@@ -402,6 +408,16 @@ class TestVerifyFamily:
             want = reference_verify_family(m, fam)
             assert same(verify_family(m, fam), want), (name, fam)
 
+
+class TestLevelEnumeration:
+    def test_levels_pass_the_literal_oracles(self, corpus_unique):
+        for name, m in corpus_unique:
+            indep = m.independent_sets()
+            levels = [frozenset(s for s in indep if len(s) == k) for k in range(m.full_rank + 1)]
+            assert enumerate_gen_truncations(m) == levels, name
+            for level in levels:
+                assert reference_verify_family(m, level).ok, (name, level)
+                assert reference_check_base_axioms(m.ground, level).ok, (name, level)
 
 
 def seeded_matrices():

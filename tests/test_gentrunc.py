@@ -70,8 +70,8 @@ class TestVerifyFamily:
     def test_nested_pair_check_never_first_on_finite(self, corpus_small):
         # once the exchange-closure and subset-spanning conditions hold, a
         # finite family is one complete size level, and levels settle every
-        # nested pair; the exhaustive nested-pair loop still runs as part of
-        # the conjunction and is covered by the enumeration oracle
+        # nested pair, so `verify_family` stops after condition 3; the literal
+        # nested-pair check runs in the reference of test_finite_kernel.py
         for name, m in corpus_small:
             if len(m.independent_sets()) > 14:
                 continue
