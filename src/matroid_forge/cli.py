@@ -56,9 +56,12 @@ class Report:
     def add(self, key: str, value) -> None:
         self.rows.append((key, str(value)))
 
-    def add_input(self, label: str, path: str) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.rows.append(("input", f"{label}={path} sha256={digest}"))
+    def read_input(self, label: str, path: str) -> str:
+        """The text of an input file, read once; its `input` row carries the
+        sha256 of exactly the bytes returned."""
+        data = Path(path).read_bytes()
+        self.rows.append(("input", f"{label}={path} sha256={hashlib.sha256(data).hexdigest()}"))
+        return data.decode("utf-8")
 
     def to_text(self) -> str:
         elapsed = int((time.perf_counter() - self.started) * 1000)
@@ -72,13 +75,8 @@ class Report:
         return json.dumps(data, indent=2) + "\n"
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _load_matroid(report: Report, path: str):
-    report.add_input("matroid", path)
-    return parse_matroid_text(_read(path))
+    return parse_matroid_text(report.read_input("matroid", path))
 
 
 def _load_finite(report: Report, path: str) -> FiniteMatroid:
@@ -101,8 +99,7 @@ def _load_setspec(report: Report, label: str, value: str):
     except OSError:  # e.g. a long inline spec exceeds the file-name limit
         is_file = False
     if is_file:
-        report.add_input(label, value)
-        return parse_setspec_text(_read(value))
+        return parse_setspec_text(report.read_input(label, value))
     return parse_setspec_text(value)
 
 
@@ -262,8 +259,7 @@ def _cmd_gentrunc(args, report: Report) -> int:
         matroid = _load_finite(report, args.matroid)
         if not args.family:
             raise MatroidForgeError("verify needs --family")
-        report.add_input("family", args.family)
-        _, mode, members = parse_family_text(_read(args.family))
+        _, mode, members = parse_family_text(report.read_input("family", args.family))
         if mode != "finite":
             raise MatroidForgeError("finite matroids take `set`-style families")
         verdict = verify_family(matroid, members)
@@ -283,15 +279,13 @@ def _cmd_gentrunc(args, report: Report) -> int:
     matroid = _load_finitary(report, args.matroid)
     if not args.family:
         raise MatroidForgeError("verify-finitary needs --family")
-    report.add_input("family", args.family)
-    _, mode, members = parse_family_text(_read(args.family))
+    _, mode, members = parse_family_text(report.read_input("family", args.family))
     if mode != "classes":
         raise MatroidForgeError("finitary families take `class` lines")
     family = TruncationFamily.build(matroid, members)
     tasks = []
     if args.tasks:
-        report.add_input("tasks", args.tasks)
-        tasks = [(lo, up) for _, lo, up in parse_tasks_text(_read(args.tasks))]
+        tasks = [(lo, up) for _, lo, up in parse_tasks_text(report.read_input("tasks", args.tasks))]
     return _verdict_exit(report, verify_family_finitary(matroid, family, tasks))
 
 
@@ -311,13 +305,11 @@ def _cmd_forcing(args, report: Report) -> int:
         return EXIT_OK
     if not args.family or not args.task:
         raise MatroidForgeError(f"{args.action} needs --family and --task")
-    report.add_input("family", args.family)
-    _, mode, members = parse_family_text(_read(args.family))
+    _, mode, members = parse_family_text(report.read_input("family", args.family))
     if mode != "classes":
         raise MatroidForgeError("forcing families take `class` lines")
     family = TruncationFamily.build(matroid, members)
-    report.add_input("task", args.task)
-    name, lower, upper = parse_tasks_text(_read(args.task))[0]
+    name, lower, upper = parse_tasks_text(report.read_input("task", args.task))[0]
     task = make_task(matroid, lower, upper)
     report.add("task", name)
     if args.action == "check-claims":

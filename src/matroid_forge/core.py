@@ -440,6 +440,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def check_prime(prime: int) -> None:
+    """Refuse a field size for `LinearMatroid`: one past its bound or not prime."""
+    if prime > LINEAR_MAX_PRIME:
+        raise BoundError(f"linear matroid prime limited to {LINEAR_MAX_PRIME}, got {prime}")
+    if not _is_prime(prime):
+        raise SpecError(f"{prime} is not prime")
+
+
 class LinearMatroid(FiniteMatroid):
     """Column matroid of a matrix over GF(p); element j is column j (1-based).
 
@@ -451,10 +459,7 @@ class LinearMatroid(FiniteMatroid):
     kind = "linear"
 
     def __init__(self, prime: int, rows: Iterable[Iterable[int]], name: str = "l"):
-        if prime > LINEAR_MAX_PRIME:
-            raise BoundError(f"linear matroid prime limited to {LINEAR_MAX_PRIME}, got {prime}")
-        if not _is_prime(prime):
-            raise SpecError(f"{prime} is not prime")
+        check_prime(prime)
         mat = tuple(tuple(int(v) % prime for v in row) for row in rows)
         if not mat or not mat[0]:
             raise SpecError("matrix must have at least one row and one column")

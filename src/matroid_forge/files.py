@@ -35,6 +35,7 @@ from .core import (
     GraphicMatroid,
     LinearMatroid,
     UniformMatroid,
+    check_prime,
 )
 from .errors import MatroidForgeError, ParseError
 from .finitary import FinitaryMatroid, FreeMatroid, PeriodicSumMatroid
@@ -53,7 +54,7 @@ def _tokens(text: str) -> list[tuple[int, list[str]]]:
 
 def _ints(words: Iterable[str], line: int) -> list[int]:
     try:
-        return [int(w) for w in words]
+        return list(map(int, words))
     except ValueError as exc:
         raise ParseError(f"expected integers, got {' '.join(words)}", line) from exc
 
@@ -75,10 +76,8 @@ def _kv(words: list[str], line: int) -> dict[str, str]:
     return out
 
 
-def _int_list(value: str, line: int) -> list[int]:
-    if not value:
-        return []
-    return _ints(value.split(","), line)
+def _comma_list(value: str) -> list[str]:
+    return value.split(",") if value else []
 
 
 def parse_setspec(words: list[str], line: int = 0) -> TemplateSet:
@@ -86,24 +85,28 @@ def parse_setspec(words: list[str], line: int = 0) -> TemplateSet:
     if not words:
         raise ParseError("empty set spec", line)
     head, rest = words[0], words[1:]
+    # members go to the template as text: its constructor converts each once
     if head == "set":
-        return TemplateSet.from_finite(_ints(rest, line))
+        try:
+            return TemplateSet.from_finite(rest)
+        except ValueError:
+            _ints(rest, line)  # raises the ParseError for the malformed number
+            raise
     if head == "template":
         kv = _kv(rest, line)
         unknown = set(kv) - {"d", "res", "t", "low", "minus"}
         if unknown:
             raise ParseError(f"unknown template fields {sorted(unknown)}", line)
+        fields = ((kv.get("d", "1"), _int), (_comma_list(kv.get("res", "")), _ints),
+                  (kv.get("t", "0"), _int), (_comma_list(kv.get("low", "")), _ints),
+                  (_comma_list(kv.get("minus", "")), _ints))
         try:
-            return TemplateSet(
-                period=_int(kv.get("d", "1"), line),
-                residues=_int_list(kv.get("res", ""), line),
-                threshold=_int(kv.get("t", "0"), line),
-                low=_int_list(kv.get("low", ""), line),
-                minus=_int_list(kv.get("minus", ""), line),
-            )
-        except ParseError:
-            raise
-        except MatroidForgeError as exc:
+            return TemplateSet(*(value for value, _ in fields))
+        except (ValueError, MatroidForgeError) as exc:
+            # a malformed number is reported before any template error, and
+            # the first one in field order is named
+            for value, parse in fields:
+                parse(value, line)
             raise ParseError(str(exc), line) from exc
     if head == "evens":
         return TemplateSet(2, [0])
@@ -132,14 +135,17 @@ def parse_setspec_text(text: str) -> TemplateSet:
 
 
 def _build_matroid(name: str, kind: str | None, state: dict, line: int):
+    """Construct the matroid.  An error names `line`, the file's last, except
+    one about the uniform parameters, which names their `params` line (a bad
+    prime has already failed on its `prime` line)."""
     if kind is None:
         raise ParseError("missing `kind` directive", line)
     try:
         if kind == "uniform":
-            kv = state.get("params")
-            if kv is None:
+            if "params" not in state:
                 raise ParseError("uniform matroid needs a `params k=.. n=..` line", line)
-            return UniformMatroid(kv["k"], kv["n"], name)
+            (k, n), line = state["params"]
+            return UniformMatroid(k, n, name)
         if kind == "graphic":
             return GraphicMatroid(state.get("edges", []), name)
         if kind == "linear":
@@ -162,8 +168,6 @@ def _build_matroid(name: str, kind: str | None, state: dict, line: int):
             if not isinstance(inner, FiniteMatroid):
                 raise ParseError("component matroid must be finite", line)
             return PeriodicSumMatroid(inner)
-    except KeyError as exc:
-        raise ParseError(f"missing parameter {exc}", line) from exc
     except MatroidForgeError as exc:
         if isinstance(exc, ParseError):
             raise
@@ -193,7 +197,15 @@ def parse_matroid_text(text: str):
         elif head == "params":
             if kind != "uniform":
                 raise ParseError("`params` only applies to kind uniform", line)
-            state["params"] = {k: _int(v, line) for k, v in _kv(rest, line).items()}
+            kv = _kv(rest, line)
+            unknown = set(kv) - {"k", "n"}
+            if unknown:
+                raise ParseError(f"unknown params fields {sorted(unknown)}", line)
+            values = {k: _int(v, line) for k, v in kv.items()}
+            for key in ("k", "n"):
+                if key not in values:
+                    raise ParseError(f"missing parameter {key!r}", line)
+            state["params"] = (values["k"], values["n"]), line
         elif head == "edge":
             if kind != "graphic":
                 raise ParseError("`edge` only applies to kind graphic", line)
@@ -206,6 +218,10 @@ def parse_matroid_text(text: str):
             if len(rest) != 1:
                 raise ParseError("prime takes exactly one value", line)
             state["prime"] = _int(rest[0], line)
+            try:
+                check_prime(state["prime"])
+            except MatroidForgeError as exc:
+                raise ParseError(str(exc), line) from exc
         elif head == "row":
             if kind != "linear":
                 raise ParseError("`row` only applies to kind linear", line)

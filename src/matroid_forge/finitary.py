@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .core import FiniteMatroid, OracleMatroid
 from .errors import DependenceError, SpecError
-from .templates import _PERIOD_LIMIT, TemplateSet
+from .templates import _LIMIT_ERROR, _PERIOD_LIMIT, TemplateSet
 
 INFINITE = inf
 
@@ -25,6 +25,20 @@ INFINITE = inf
 _HEAD_LIMIT = 100_000
 # blocks per run when `_blocks` slices a template's mask
 _RUN = 256
+
+
+def _join(masks: list[int], width: int) -> int:
+    """The `width`-bit masks laid end to end, masks[0] lowest.
+
+    Neighbours are paired level by level, so a long list costs O(n log n)
+    bit operations, not the O(n^2) of shifting each mask into one growing int.
+    """
+    while len(masks) > 1:
+        if len(masks) % 2:
+            masks = masks + [0]
+        masks = [lo | hi << width for lo, hi in zip(masks[::2], masks[1::2])]
+        width <<= 1
+    return masks[0] if masks else 0
 
 
 class FinitaryMatroid:
@@ -206,12 +220,15 @@ class PeriodicSumMatroid(FinitaryMatroid):
         return chosen
 
     def _template(self, masks: list[int], start: int, cycle: int) -> TemplateSet:
-        """Template with block c < start given by masks[c], then masks[start:] repeating."""
-        members = [c * self.block + p for c, mask in enumerate(masks)
-                   for p in range(self.block) if mask >> p & 1]
+        """Template with block c < start given by masks[c], then the `cycle`
+        masks of masks[start:] repeating."""
         cut, period = start * self.block, cycle * self.block
-        residues = {n % period for n in members if n >= cut}
-        return TemplateSet(period, residues, cut, [n for n in members if n < cut])
+        if max(period, cut) > _PERIOD_LIMIT:
+            raise SpecError(_LIMIT_ERROR)
+        # the tail's first block sits at cut, which is residue cut % period
+        tail, shift = _join(masks[start:], self.block), cut % period
+        res = (tail << shift | tail >> period - shift) & ((1 << period) - 1)
+        return TemplateSet._from_masks(period, res, cut, _join(masks[:start], self.block))
 
     # finite sets -----------------------------------------------------------
 

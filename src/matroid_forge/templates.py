@@ -79,29 +79,34 @@ class TemplateSet:
         low: Iterable[int] = (),
         minus: Iterable[int] = (),
     ):
+        # each field becomes one int list, checked by its min and max alone
         period = int(period)
         if period < 1:
             raise SpecError("period must be a positive integer")
-        res = frozenset(int(r) for r in residues)
-        if any(not 0 <= r < period for r in res):
+        res = list(map(int, residues))
+        if res and (min(res) < 0 or max(res) >= period):
             raise SpecError("residues must lie in [0, period)")
-        lo = frozenset(int(x) for x in low)
-        mi = frozenset(int(x) for x in minus)
-        if any(x < 0 for x in lo | mi):
+        lo = list(map(int, low))
+        mi = list(map(int, minus))
+        if min(lo, default=0) < 0 or min(mi, default=0) < 0:
             raise SpecError("template members are natural numbers")
         threshold = int(threshold)
         if threshold < 0:
             raise SpecError("threshold must be a natural number")
-        if any(x >= threshold for x in lo):
+        if max(lo, default=-1) >= threshold:
             raise SpecError("low part must lie below the threshold")
-        if max(period, threshold, *mi) > _PERIOD_LIMIT:
+        top = max(mi, default=-1)
+        if max(period, threshold, top) > _PERIOD_LIMIT:
             raise SpecError(_LIMIT_ERROR)
 
         # fold exclusions below a clean cut: members below t become explicit
         r = _mask(res, period)
-        t = threshold if not mi else max(threshold, max(mi) + 1)
-        periodic = _tile(r, period, t) >> threshold << threshold
-        self._canonicalise(period, r, t, (_mask(lo, t) | periodic) & ~_mask(mi, t))
+        t = max(threshold, top + 1)
+        below = _mask(lo, t)
+        if mi:
+            periodic = _tile(r, period, t) >> threshold << threshold
+            below = (below | periodic) & ~_mask(mi, t)
+        self._canonicalise(period, r, t, below)
 
     def _canonicalise(self, period: int, res: int, threshold: int, low: int) -> None:
         """Store the canonical form of ``{n >= threshold : bit n % period of res} | low``,
@@ -131,7 +136,7 @@ class TemplateSet:
 
     @classmethod
     def from_finite(cls, values: Iterable[int]) -> "TemplateSet":
-        vals = [int(v) for v in values]
+        vals = list(map(int, values))
         if min(vals, default=0) < 0:
             raise SpecError("template members are natural numbers")
         top = max(vals, default=-1) + 1
@@ -284,13 +289,13 @@ class TemplateSet:
         firsts = [nth(m) for m in range(start, start + cycle) if m in indices]
         step = (cycle // block) * d
         threshold = max(firsts) + 1
-        low = {nth(m) for m in indices.members_below(start)}
+        if max(step, threshold) > _PERIOD_LIMIT:
+            raise SpecError(_LIMIT_ERROR)
+        low = [nth(m) for m in indices.members_below(start)]
         for b in firsts:
-            v = b
-            while v < threshold:
-                low.add(v)
-                v += step
-        return TemplateSet(step, {b % step for b in firsts}, threshold, low)
+            low += range(b, threshold, step)
+        res = _mask([b % step for b in firsts], step)
+        return TemplateSet._from_masks(step, res, threshold, _mask(low, threshold))
 
     # -- identity ---------------------------------------------------------
 

@@ -112,7 +112,7 @@ class TestConstructionBounds:
         ("matroid u\nkind uniform\nparams k=1 n=10000000\n",
          "line 3: uniform matroid limited to 65536 elements, got 10000000"),
         ("matroid l\nkind linear\nprime 2305843009213693951\nrow 1 0\n",
-         "line 4: linear matroid prime limited to 2147483648, got 2305843009213693951"),
+         "line 3: linear matroid prime limited to 2147483648, got 2305843009213693951"),
     ])
     def test_huge_parameter_exits_two_fast(self, tmp_path, text, error):
         path = tmp_path / "huge.txt"

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +97,8 @@ class TestExitCodes:
          "line 3: prime takes exactly one value"),
         ("matroid u\nkind uniform\nparams k=a n=3\n", None,
          "line 3: expected an integer, got 'a'"),
+        ("matroid u\nkind uniform\nparams k=1 n=3 q=7\n", None,
+         "line 3: unknown params fields ['q']"),
         (None, "template d=abc res=0", "line 1: expected an integer, got 'abc'"),
         (None, "template t=x", "line 1: expected an integer, got 'x'"),
         (None, "template d=4 res=a", "line 1: expected integers, got a"),
@@ -448,6 +452,36 @@ class TestReports:
         _, report = dispatch(["axioms", "check", "--matroid", str(workdir / "ex.txt")])
         inputs = report_rows(report)["input"]
         assert len(inputs) == 1 and "sha256=" in inputs[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["forcing", "step", "--matroid", "free.txt", "--family", "fam.txt", "--task", "task.txt"],
+        ["gentrunc", "verify-finitary", "--matroid", "free.txt", "--family", "fam.txt",
+         "--tasks", "task.txt"],
+    ])
+    def test_each_input_read_once(self, workdir, monkeypatch, argv):
+        # every read appends a comment to the file, so a second read of it
+        # would see other bytes than the first
+        reads = []
+        real_read = Path.read_bytes
+
+        def read_bytes(path):
+            data = real_read(path)
+            reads.append((str(path), data))
+            path.write_bytes(data + b"# read\n")
+            return data
+
+        def read_text(path, *args, **kwargs):
+            return read_bytes(path).decode("utf-8")
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        monkeypatch.setattr(Path, "read_text", read_text)
+        argv = [str(workdir / a) if a.endswith(".txt") else a for a in argv]
+        code, report = dispatch(argv)
+        assert code in (0, 1) and "error" not in report_rows(report)
+        paths = [a for a in argv if a.endswith(".txt")]
+        assert sorted(path for path, _ in reads) == sorted(paths)
+        digests = {f"{path} sha256={hashlib.sha256(data).hexdigest()}" for path, data in reads}
+        assert {row.split("=", 1)[1] for row in report_rows(report)["input"]} == digests
 
 
 class TestParserCache:

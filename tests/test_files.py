@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matroid_forge import (
@@ -5,10 +7,13 @@ from matroid_forge import (
     FreeMatroid,
     ParseError,
     PeriodicSumMatroid,
+    SpecError,
     TemplateSet,
     UniformMatroid,
 )
 from matroid_forge.files import (
+    _int,
+    _ints,
     emit_family_text,
     emit_matroid_text,
     emit_task_text,
@@ -72,6 +77,21 @@ class TestMatroidFiles:
             parse_matroid_text("matroid x\nkind uniform\nbase 1 2\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("matroid l\nkind linear\nprime 4\nrow 1 0\n", 3, "4 is not prime"),
+        ("kind uniform\nparams k=4 n=3\nmatroid u\n", 2,
+         "uniform matroid needs 0 <= k <= n, got k=4, n=3"),
+        ("kind uniform\nparams k=1\nmatroid u\n", 2, "missing parameter 'n'"),
+        # errors of no single directive name the last line
+        ("matroid l\nkind linear\nprime 3\nrow 1 0\nrow 1\n", 5,
+         "matrix rows must have equal length"),
+        ("kind linear\nrow 1 0\nmatroid l\n", 3, "linear matroid needs a `prime` line"),
+    ])
+    def test_value_error_names_its_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_matroid_text(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
     def test_unknown_directive(self):
         with pytest.raises(ParseError):
             parse_matroid_text("matroid x\nkind uniform\nparams k=1 n=2\nfrobnicate\n")
@@ -114,6 +134,37 @@ class TestSetSpecs:
             parse_setspec_text("bogus 1 2")
         with pytest.raises(ParseError):
             parse_setspec_text("template q=1")
+
+    def test_errors_match_field_by_field_parse(self):
+        # the parser hands members to the template as text; its errors must stay
+        # those of converting each field in order, then building the template
+        def reference(spec):
+            head, *rest = spec.split()
+            if head == "set":
+                return TemplateSet.from_finite(_ints(rest, 1))
+            kv = dict(w.split("=", 1) for w in rest)
+            numbers = [_int(kv["d"], 1), _ints(kv["res"].split(","), 1), _int(kv["t"], 1),
+                       _ints(kv["low"].split(","), 1), _ints(kv["minus"].split(","), 1)]
+            try:
+                return TemplateSet(*numbers)
+            except SpecError as exc:
+                raise ParseError(str(exc), 1) from exc
+
+        def outcome(fn, spec):
+            try:
+                return fn(spec)
+            except (ParseError, SpecError) as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(21)
+        fields = {"d": ["4", "0", "x", "2000000"], "res": ["1,3", "1,9", "1,a", "-1"],
+                  "t": ["5", "-1", "y", "7"], "low": ["0,2", "0,6", "0,b", "-2"],
+                  "minus": ["9", "-3", "c", "3000000"]}
+        for _ in range(400):
+            spec = "template " + " ".join(f"{k}={rng.choice(v)}" for k, v in fields.items())
+            assert outcome(parse_setspec_text, spec) == outcome(reference, spec), spec
+        for spec in ("set 1 2", "set 1 x 3", "set -1 2", "set 1000001", "set 1_0 ٣"):
+            assert outcome(parse_setspec_text, spec) == outcome(reference, spec), spec
 
 
 class TestFamilyFiles:

@@ -21,6 +21,7 @@ from matroid_forge import (
 )
 from matroid_forge.finitary import _HEAD_LIMIT
 from matroid_forge.selftest import restriction_agreement
+from matroid_forge.templates import _PERIOD_LIMIT
 
 EVENS = TemplateSet(2, [0])
 ODDS = TemplateSet(2, [1])
@@ -194,6 +195,47 @@ def assemble(schema, patterns, start, cycle):
     residues = [(c * block + pos[e]) % (cycle * block)
                 for c in range(start, start + cycle) for e in patterns[c]]
     return TemplateSet(cycle * block, residues, start * block, low)
+
+
+def member_list_template(schema, masks, start, cycle):
+    """`PeriodicSumMatroid._template` as it was before it built its masks
+    directly: list every member, then validate them in the constructor."""
+    members = [c * schema.block + p for c, mask in enumerate(masks)
+               for p in range(schema.block) if mask >> p & 1]
+    cut, period = start * schema.block, cycle * schema.block
+    residues = {n % period for n in members if n >= cut}
+    return TemplateSet(period, residues, cut, [n for n in members if n < cut])
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except SpecError as exc:
+        return str(exc)
+
+
+class TestTemplateFromMasks:
+    def test_matches_member_lists(self):
+        # heads of odd and even lengths, long enough for several pairing levels
+        rng = random.Random(19)
+        for _ in range(300):
+            schema = PeriodicSumMatroid(rng.choice(COMPONENTS))
+            start = rng.choice((0, 1, 2, 5, rng.randint(0, 40), rng.randint(200, 700)))
+            cycle, density = rng.randint(1, 9), rng.random()
+            masks = [sum(1 << p for p in range(schema.block) if rng.random() < density)
+                     for _ in range(start + cycle)]
+            got = schema._template(masks, start, cycle)
+            assert got == member_list_template(schema, masks, start, cycle)
+
+    def test_limit_errors_match(self):
+        # a tail period or a cut past the template limit fails with the same error
+        wide = PeriodicSumMatroid(UniformMatroid(1, 1000))
+        rng = random.Random(20)
+        for schema, start, cycle in ((wide, 0, 1001), (PAIRS, 500_001, 1), (wide, 1000, 1)):
+            masks = [rng.getrandbits(schema.block) for _ in range(start + cycle)]
+            got = _outcome(lambda: schema._template(masks, start, cycle))
+            assert got == _outcome(lambda: member_list_template(schema, masks, start, cycle))
+            assert isinstance(got, str) == (max(start, cycle) * schema.block > _PERIOD_LIMIT)
 
 
 def per_block_subtemplate(schema, template, over):

@@ -571,6 +571,99 @@ def test_from_finite_matches_constructor():
                              lambda: TemplateSet(1, (), top, vals))
 
 
+# the constructor's six checks in the order it makes them, each with ways to
+# break it alone, as updates to `_VALID`; a value stays broken under any other
+# update and the limit's update avoids the scalar another one set, so a pair of
+# them breaks both checks
+_VALID = {"period": 12, "residues": [1, 5, 9], "threshold": 20, "low": [0, 4, 8, 12, 16],
+          "minus": [2, 30]}
+_CHECKS = (
+    ("period must be a positive integer",
+     lambda rng, a, taken: {"period": rng.choice((0, -3))}),
+    ("residues must lie in [0, period)",
+     lambda rng, a, taken: {"residues": a["residues"] + [rng.choice((-1, 10**13))]}),
+    ("template members are natural numbers",
+     lambda rng, a, taken: rng.choice(({"low": a["low"] + [-1]}, {"minus": a["minus"] + [-5]}))),
+    ("threshold must be a natural number",
+     lambda rng, a, taken: {"threshold": rng.choice((-1, -20))}),
+    ("low part must lie below the threshold",
+     lambda rng, a, taken: {"low": a["low"] + [rng.choice((10**7, 10**13))]}),
+    (f"template period, threshold and members are limited to {_PERIOD_LIMIT}",
+     lambda rng, a, taken: rng.choice([u for u in (
+         {"period": _PERIOD_LIMIT + 1}, {"threshold": _PERIOD_LIMIT + 5},
+         {"minus": a["minus"] + [_PERIOD_LIMIT + 1]}) if not taken & set(u)])),
+)
+
+
+def _ints_only(vals) -> bool:
+    return all(type(v) is int for v in vals)
+
+
+def _as_range(vals):
+    step = vals[1] - vals[0] if len(vals) > 1 and _ints_only(vals) else 0
+    if step > 0 and all(b - a == step for a, b in zip(vals, vals[1:])):
+        return range(vals[0], vals[-1] + 1, step)
+    return list(vals)
+
+
+# ways to hand the constructor a member list: each call builds a fresh object,
+# so one-shot iterators are fresh for each implementation
+_FORMS = (
+    list, tuple, set, iter, _as_range,
+    lambda vals: (v for v in vals),
+    lambda vals: vals + vals[::-1],  # duplicates
+    lambda vals: [str(v) for v in vals],  # digit strings
+    lambda vals: "".join(map(str, vals)) if _ints_only(vals) and all(0 <= v < 10 for v in vals)
+    else list(vals),
+)
+
+
+def _render(rng, args):
+    """A factory of constructor arguments with each field in a random form."""
+    forms = {key: rng.choice(_FORMS) for key in ("residues", "low", "minus")}
+    scalars = {key: rng.choice((int, str)) for key in ("period", "threshold")}
+
+    def make():
+        out = {key: form(list(args[key])) for key, form in forms.items()}
+        out.update((key, form(args[key])) for key, form in scalars.items())
+        return out
+    return make
+
+
+def _failure(cls, kwargs):
+    try:
+        cls(**kwargs)
+    except (SpecError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_constructor_rejects_like_reference():
+    # each check broken alone and in pairs, over many argument forms: the same
+    # error (type and message) as the reference, which pins the order of the checks
+    rng = random.Random(64)
+    cases = [(i,) for i in range(len(_CHECKS))] * 12
+    cases += [(i, j) for i in range(len(_CHECKS)) for j in range(i + 1, len(_CHECKS))] * 6
+    for broken in cases:
+        args = dict(_VALID)
+        taken = set()
+        for i in broken:
+            update = _CHECKS[i][1](rng, args, taken)
+            args.update(update)
+            taken |= set(update)
+        if rng.random() < 0.2:  # an unconvertible member fails before any later check
+            key = rng.choice(("residues", "low", "minus"))
+            args[key] = args[key] + [rng.choice(("x", 1j))]
+        make = _render(rng, args)
+        got, want = _failure(TemplateSet, make()), _failure(ReferenceTemplateSet, make())
+        assert got == want, (broken, args)
+        if _ints_only(args["residues"] + args["low"] + args["minus"]):
+            assert want == (SpecError, _CHECKS[min(broken)][0])
+    for _ in range(30):  # every form of the valid arguments builds the same template
+        make = _render(rng, _VALID)
+        _assert_same(TemplateSet(**make()), ReferenceTemplateSet(**make()))
+
+
 class TestLargeTemplates:
     """Inputs near the period limit that once took seconds; exact results only."""
 
