@@ -453,13 +453,16 @@ class LinearMatroid(FiniteMatroid):
 
     `rows` keeps the matrix as given, reduced mod p.  The rank oracle reads
     `_columns`, stored once: over GF(2) each column is an int whose bit i is
-    its entry in row i, otherwise a tuple of its entries.
+    its entry in row i, otherwise a tuple of its entries.  `_checked` skips
+    `check_prime` for an internal caller that has already run it.
     """
 
     kind = "linear"
 
-    def __init__(self, prime: int, rows: Iterable[Iterable[int]], name: str = "l"):
-        check_prime(prime)
+    def __init__(self, prime: int, rows: Iterable[Iterable[int]], name: str = "l",
+                 _checked: bool = False):
+        if not _checked:
+            check_prime(prime)
         mat = tuple(tuple(int(v) % prime for v in row) for row in rows)
         if not mat or not mat[0]:
             raise SpecError("matrix must have at least one row and one column")

@@ -151,7 +151,8 @@ def _build_matroid(name: str, kind: str | None, state: dict, line: int):
         if kind == "linear":
             if "prime" not in state:
                 raise ParseError("linear matroid needs a `prime` line", line)
-            return LinearMatroid(state["prime"], state.get("rows", []), name)
+            # the `prime` line ran check_prime already
+            return LinearMatroid(state["prime"], state.get("rows", []), name, _checked=True)
         if kind == "explicit":
             if "ground" not in state:
                 raise ParseError("explicit matroid needs a `ground` line", line)

@@ -7,10 +7,13 @@ member, and every nested independent pair (I, J) below a member can be
 settled inside F.  On a finite matroid of rank r the first three conditions
 already make F one complete size level L_k of the independent sets, and a
 level settles every nested pair, so the generalised truncations are exactly
-L_0, ..., L_r.  `verify_family` checks conditions 1-3 and states that proof;
-`verify_is_gen_truncation` checks the truncation definition itself
-(independence containment plus forced augmentation), giving an independent
-second route that the tests hold against the first.
+L_0, ..., L_r.  `verify_family` checks conditions 1-3 and states that proof.
+It asks the rank oracle only what the member sizes leave open: condition 2
+enumerates no independent sets and rank-checks only the non-members of each
+member size, and condition 3 computes spans only for members above the
+smallest size.  `verify_is_gen_truncation` checks the truncation definition
+itself (independence containment plus forced augmentation), giving an
+independent second route that the tests hold against the first.
 
 Enumeration comes in two flavours: the levels themselves, and a raw
 2^|independents| sweep with no structural shortcuts, kept as the oracle.
@@ -26,9 +29,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
+    ENUMERATION_MAX_GROUND,
     FiniteMatroid,
     Verdict,
     check_bound,
+    masks_of_size,
     size_order,
     size_sorted,
     upward_closure,
@@ -49,8 +54,9 @@ def verify_family(matroid: FiniteMatroid, family: Iterable[Iterable[int]]) -> Ve
     Refuses a ground past the declared bound and a member outside the
     ground, then runs `verify_family_masks` on the distinct members as masks.
     There condition 3 (no member inside span(B - e)) is one bit test on the
-    family's upward-closure table per member B and element e, and condition
-    4 follows from conditions 1-3.
+    family's upward-closure table per member B above the smallest member
+    size and element e, condition 2 rank-checks only non-members, and
+    condition 4 follows from conditions 1-3.
     """
     check_bound("family verification", len(matroid.ground), VERIFY_FAMILY_MAX_GROUND)
     masks = (matroid._subset_mask(b, "family member") for b in family)
@@ -68,7 +74,21 @@ def verify_family_masks(matroid: FiniteMatroid, masks: list[int]) -> Verdict:
     Condition 3 asks whether some member lies inside span(B - e); that is
     bit span(B - e) of the family's upward-closure table (`upward_closure`).
     On the first hit, the members are scanned for the first one inside that
-    span, which is the witness a scan of every member would give.
+    span, which is the witness a scan of every member would give.  Members
+    of the smallest member size are not asked, and a one-size family builds
+    no table: span(B - e) has rank |B| - 1 and every member is independent
+    (condition 1), so a member inside it has at most |B| - 1 elements, and a
+    smallest-size member never has a member inside its span.  The first hit
+    and its witness are those of the full scan.
+
+    Condition 2 scans, for each member size k in ascending order, the
+    k-subsets of the ground in (size, sorted elements) order and rank-checks
+    only the non-members; the first independent one is the witness, paired
+    with the first member of size k.  That is the witness a scan of
+    `independent_masks` gives: on a matroid every independent k-set is found
+    by its prefix growth, and both orders are lexicographic on positions.  A
+    complete level thus costs C(n, k) - |F| rank queries, all on dependent
+    sets, and none for its members.
 
     Condition 4 (every nested independent pair I <= J with I below a member
     is settled: a member contains J, or one lies between I and J) is not
@@ -90,30 +110,34 @@ def verify_family_masks(matroid: FiniteMatroid, masks: list[int]) -> Verdict:
 
     # no proper subset of a member may span a member; spanning is monotone,
     # so checking the maximal proper subsets suffices
-    table = upward_closure(masks, len(matroid.ground))
-    for m in masks:
-        rest = m
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            span = matroid.span_mask(m ^ bit)
-            if table >> span & 1:
-                other = next(om for om in masks if om & ~span == 0)
-                return Verdict.violation("3", matroid.set_of(m), matroid.set_of(other),
-                                         matroid.set_of(m ^ bit))
+    n = len(matroid.ground)
+    smallest = masks[0].bit_count()
+    if masks[-1].bit_count() > smallest:
+        table = upward_closure(masks, n)
+        for m in masks:
+            if m.bit_count() == smallest:
+                continue
+            rest = m
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                span = matroid.span_mask(m ^ bit)
+                if table >> span & 1:
+                    other = next(om for om in masks if om & ~span == 0)
+                    return Verdict.violation("3", matroid.set_of(m), matroid.set_of(other),
+                                             matroid.set_of(m ^ bit))
 
-    # balanced finite exchange: for finite sets, |B-B'| = |B'-B| means equal size
-    by_size: dict[int, list[int]] = {}
-    for s in matroid.independent_masks():
-        by_size.setdefault(s.bit_count(), []).append(s)
+    # balanced finite exchange: for finite sets, |B-B'| = |B'-B| means equal size;
     # the first violator is the first member of the smallest incomplete size,
     # missing that size's first independent set outside the family
+    check_bound("independent-set enumeration", n, ENUMERATION_MAX_GROUND)
     member_set = set(masks)
     first_of_size: dict[int, int] = {}
     for m in masks:
         first_of_size.setdefault(m.bit_count(), m)
     for size, m in first_of_size.items():
-        other = next((s for s in by_size[size] if s not in member_set), None)
+        other = next((s for s in masks_of_size(n, size)
+                      if s not in member_set and matroid.independent_mask(s)), None)
         if other is not None:
             return Verdict.violation("2", matroid.set_of(m), matroid.set_of(other))
     return Verdict.passed()

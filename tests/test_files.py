@@ -5,11 +5,13 @@ import pytest
 from matroid_forge import (
     FiniteMatroid,
     FreeMatroid,
+    LinearMatroid,
     ParseError,
     PeriodicSumMatroid,
     SpecError,
     TemplateSet,
     UniformMatroid,
+    core,
 )
 from matroid_forge.files import (
     _int,
@@ -91,6 +93,22 @@ class TestMatroidFiles:
         with pytest.raises(ParseError) as err:
             parse_matroid_text(text)
         assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+    def test_prime_trial_divided_once(self, monkeypatch):
+        calls = []
+        is_prime = core._is_prime
+        monkeypatch.setattr(core, "_is_prime", lambda p: calls.append(p) or is_prime(p))
+        m = parse_matroid_text("matroid l\nkind linear\nprime 2147483647\nrow 1 2\n")
+        assert m.prime == 2147483647 and m.full_rank == 1
+        assert calls == [2147483647]
+        # a component is parsed as its own file: once there too
+        calls.clear()
+        parse_matroid_text("matroid s\nkind periodic-sum\ncomponent kind linear\n"
+                           "component prime 3\ncomponent row 1 2\n")
+        assert calls == [3]
+        # built directly, a linear matroid still checks its prime
+        with pytest.raises(SpecError, match="4 is not prime"):
+            LinearMatroid(4, [[1, 0]])
 
     def test_unknown_directive(self):
         with pytest.raises(ParseError):

@@ -13,7 +13,10 @@ which holds for every non-empty family on a finite ground, and
 `test_bm_is_a_theorem_on_a_finite_ground` holds the reference to that.
 Likewise `reference_verify_family` checks condition 4, the nested-pair
 condition, literally, while the kernel stops after condition 3, which
-implies it on a matroid, so condition 4 runs only in the reference.
+implies it on a matroid, so condition 4 runs only in the reference.  The
+reference also decides condition 2 by enumerating every independent set and
+condition 3 by a span for every member and element; the kernel reads both
+from the member sizes, and `TestVerifyFamilyWork` pins what it still asks.
 `TestLevelEnumeration` holds the size levels that `enumerate_gen_truncations`
 returns to both literal references.
 """
@@ -29,6 +32,7 @@ from matroid_forge import (
     ExplicitMatroid,
     GraphicMatroid,
     LinearMatroid,
+    OracleMatroid,
     UniformMatroid,
     Verdict,
     check_base_axioms,
@@ -43,12 +47,13 @@ from matroid_forge.core import (
     elements_of,
     exhaustive_bound,
     fmt,
+    masks_of_size,
     size_keys,
     size_sorted,
     upward_closure,
 )
 from matroid_forge.errors import BoundError, GroundError, SpecError
-from matroid_forge.gentrunc import VERIFY_FAMILY_MAX_GROUND
+from matroid_forge.gentrunc import VERIFY_FAMILY_MAX_GROUND, verify_family_masks
 
 
 def reference_check_base_axioms(ground, family) -> Verdict:
@@ -407,6 +412,111 @@ class TestVerifyFamily:
         for name, m, fam in wide_families(corpus_wide):
             want = reference_verify_family(m, fam)
             assert same(verify_family(m, fam), want), (name, fam)
+
+    @pytest.mark.parametrize("members, want", [
+        # condition 3 passes; condition 2 fails at the smaller size
+        ([{1}, {2, 3}], Verdict.violation("2", frozenset({1}), frozenset({2}))),
+        # condition 3 fails at a larger member
+        ([{1}, {1, 2}], Verdict.violation("3", frozenset({1, 2}), frozenset({1}),
+                                          frozenset({1}))),
+    ])
+    def test_two_size_families_on_a_free_matroid(self, members, want):
+        m = UniformMatroid(3, 3)
+        assert same(reference_verify_family(m, members), want)
+        assert same(verify_family(m, members), want)
+
+    def test_smaller_member_spanned_but_not_contained(self):
+        # edges 1 and 2 are parallel: {1} lies inside span({2}), not inside {2}
+        m = GraphicMatroid([("a", "b"), ("a", "b"), ("b", "c")])
+        want = Verdict.violation("3", frozenset({2, 3}), frozenset({1}), frozenset({2}))
+        assert same(reference_verify_family(m, [{1}, {2, 3}]), want)
+        assert same(verify_family(m, [{1}, {2, 3}]), want)
+
+    def test_every_family_of_a_non_matroid_oracle(self):
+        # r({1, 2}) = 0 < r({1}); `enumerate_raw` sends each of these families
+        # through `verify_family`
+        m = OracleMatroid({1, 2}, lambda s: len(s) % 2)
+        indep = m.independent_sets()
+        got = []
+        for mask in range(1 << len(indep)):
+            fam = [indep[i] for i in range(len(indep)) if mask >> i & 1]
+            verdict = verify_family(m, fam)
+            assert same(verdict, reference_verify_family(m, fam)), fam
+            got.append(str(verdict))
+        assert got == ["violation(1)", "ok", "violation(2; {1}, {2})",
+                       "violation(3; {1}, {}, {})", "violation(2; {2}, {1})",
+                       "violation(3; {2}, {}, {})", "ok", "violation(3; {1}, {}, {})"]
+
+    def test_masks_past_the_enumeration_bound(self):
+        m = UniformMatroid(13, 13)
+        with pytest.raises(BoundError, match="limited to 12 elements, got 13"):
+            verify_family_masks(m, [(1 << 13) - 1])
+
+
+def levels_of(m):
+    indep = m.independent_masks()
+    return [[s for s in indep if s.bit_count() == k] for k in range(m.full_rank + 1)]
+
+
+class TestVerifyFamilyWork:
+    """What `verify_family_masks` asks the rank oracle: the member sizes answer the rest."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of `independent_masks` calls and the `span_mask` arguments."""
+        seen = {"independent_masks": 0, "span_mask": []}
+        independent_masks = core.FiniteMatroid.independent_masks
+        span_mask = core.FiniteMatroid.span_mask
+
+        def counted_independent_masks(self):
+            seen["independent_masks"] += 1
+            return independent_masks(self)
+
+        def recorded_span_mask(self, mask):
+            seen["span_mask"].append(mask)
+            return span_mask(self, mask)
+
+        monkeypatch.setattr(core.FiniteMatroid, "independent_masks", counted_independent_masks)
+        monkeypatch.setattr(core.FiniteMatroid, "span_mask", recorded_span_mask)
+        return seen
+
+    def test_levels_need_no_enumeration_or_span(self, corpus_unique, corpus_wide, calls):
+        wide = dict(corpus_wide)
+        gf2 = next(m for name, m in corpus_unique if name.startswith("L") and m.full_rank == 3)
+        for m in (wide["U(5,10)"], wide["grid2x3"], gf2, wide["GF3-3x9"]):
+            levels = levels_of(m)
+            calls["independent_masks"] = 0
+            for level in levels:
+                assert verify_family_masks(m, level).ok, (m, level)
+            assert calls == {"independent_masks": 0, "span_mask": []}, m
+
+    def test_spans_only_for_the_larger_members(self, calls):
+        m = UniformMatroid(4, 6)
+        members = size_sorted([0b11, 0b101, 0b11100, 0b101100], 6)
+        assert verify_family_masks(m, members).tag == "2"
+        larger = [b for b in members if b.bit_count() == 3]
+        assert sorted(calls["span_mask"]) == sorted(b ^ 1 << i for b in larger
+                                                    for i in range(6) if b >> i & 1)
+
+    def test_condition_two_checks_no_member(self, corpus_wide, monkeypatch):
+        # a complete level, and the level without its first member
+        for name, m in corpus_wide:
+            for level in levels_of(m)[1:4]:
+                for fam in (level, level[1:]):
+                    asked: list[int] = []
+                    with monkeypatch.context() as mp:
+                        mp.setattr(m, "independent_mask",
+                                   lambda s, ask=m.independent_mask: asked.append(s) or ask(s))
+                        verdict = verify_family_masks(m, fam)
+                    assert verdict.ok == (fam is level), (name, fam)
+                    # condition 1 asks each member once, condition 2 only non-members,
+                    # in order, up to the first independent one
+                    members = set(fam)
+                    assert sorted(s for s in asked if s in members) == sorted(fam)
+                    scan = [s for s in masks_of_size(len(m.ground), fam[0].bit_count())
+                            if s not in members]
+                    stop = len(scan) if fam is level else scan.index(level[0]) + 1
+                    assert [s for s in asked if s not in members] == scan[:stop], (name, fam)
 
 
 class TestLevelEnumeration:
