@@ -1,7 +1,7 @@
 """Exact finite matroid kernel.
 
-Backends: uniform, graphic, linear over GF(p), explicit base lists, plus
-minors and rank-oracle wrappers.  All arithmetic is exact integer work;
+Backends: uniform, graphic, linear over GF(p), explicit base lists and
+rank-oracle wrappers.  All arithmetic is exact integer work;
 exhaustive loops run over int bitmasks of the (small) ground set, bit i
 standing for the i-th smallest element.  Frozensets appear only at the API
 boundary and in witnesses.  Enumerations and witnesses follow the (size,
@@ -13,7 +13,8 @@ The two exhaustive checks, `check_base_masks` here and
 `size_keys`; the frozenset functions `check_base_axioms` and
 `gentrunc.verify_family` are thin wrappers in front of them that normalise
 the input, check the ground and the declared bound, and convert to masks.
-The cores read no environment and check no bound: their callers do, once.
+The cores read no environment; their callers check the ground bound, once,
+and `verify_family_masks` also checks `ENUMERATION_MAX_GROUND`.
 
 An explicit base list is quarantined: the constructor refuses it unless the
 base axioms hold, so every matroid object in the system can be trusted to
@@ -30,7 +31,7 @@ from functools import cache, cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .errors import BoundError, DependenceError, GroundError, SpecError
+from .errors import BoundError, GroundError, SpecError
 
 # Declared exhaustive bounds.  MATROID_FORGE_MAX_GROUND may lower (never raise)
 # them at runtime.
@@ -199,7 +200,7 @@ class FiniteMatroid:
 
     Subclasses implement `_rank_of` on a bitmask over the sorted ground set
     (bit i is the i-th smallest element); everything else (independence,
-    relative rank, span, minors, enumeration) is derived.  Instances are
+    relative rank, span, enumeration) is derived.  Instances are
     immutable after construction and every operation is a pure function of
     its inputs.
     """
@@ -295,41 +296,15 @@ class FiniteMatroid:
     def relative_rank(self, xs: Iterable[int], ys: Iterable[int]) -> int:
         """Rank of X over Y: the rank of X - Y once Y is contracted.
 
-        Computed as r(X|Y) = r(X+Y) - r(Y); tests cross-check this against the
-        contraction-minor route.
+        Computed as r(X|Y) = r(X+Y) - r(Y).
         """
         x = self._subset_mask(xs, "first argument")
         y = self._subset_mask(ys, "second argument")
         return self.rank_mask(x | y) - self.rank_mask(y)
 
-    def spans(self, xs: Iterable[int], element: int) -> bool:
-        s = self._subset(xs)
-        e = self._subset([element], "element")
-        return self.relative_rank(e, s) == 0
-
-    def span_of(self, xs: Iterable[int]) -> frozenset:
-        return self.set_of(self.span_mask(self._subset_mask(xs)))
-
     @property
     def full_rank(self) -> int:
         return self.rank_mask(self.mask_of(self.ground))
-
-    # -- minors -------------------------------------------------------------
-
-    def minor(self, deleted: Iterable[int] = (), contracted: Iterable[int] = ()) -> "FiniteMatroid":
-        d = self._subset(deleted, "deleted set")
-        c = self._subset(contracted, "contracted set")
-        if d & c:
-            raise GroundError(f"deleted and contracted sets overlap on {fmt(d & c)}")
-        if not d and not c:
-            return self
-        return MinorMatroid(self, d, c)
-
-    def delete(self, xs: Iterable[int]) -> "FiniteMatroid":
-        return self.minor(deleted=xs)
-
-    def contract(self, xs: Iterable[int]) -> "FiniteMatroid":
-        return self.minor(contracted=xs)
 
     # -- enumeration ---------------------------------------------------------
 
@@ -554,28 +529,6 @@ class ExplicitMatroid(FiniteMatroid):
         return self._bases_cache
 
 
-class MinorMatroid(FiniteMatroid):
-    kind = "minor"
-
-    def __init__(self, parent: FiniteMatroid, deleted: frozenset, contracted: frozenset):
-        super().__init__(parent.ground - deleted - contracted,
-                         f"{parent.name}/{fmt(contracted)}\\{fmt(deleted)}")
-        self.parent = parent
-        self.contracted = contracted
-        # bit i of this minor is bit _lift[i] of the parent
-        self._lift = tuple(1 << parent._pos[e] for e in self._order)
-        self._contracted_mask = parent.mask_of(contracted)
-        self._base_rank = parent.rank_mask(self._contracted_mask)
-
-    def _rank_of(self, mask: int) -> int:
-        lifted, lift = self._contracted_mask, self._lift
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            lifted |= lift[low.bit_length() - 1]
-        return self.parent.rank_mask(lifted) - self._base_rank
-
-
 class OracleMatroid(FiniteMatroid):
     """Matroid backed by an arbitrary exact rank function (trusted caller)."""
 
@@ -679,22 +632,3 @@ def check_base_masks(order: tuple[int, ...], masks: list[int]) -> Verdict:
                                              elements_of(m1, order), order[x.bit_length() - 1])
 
     return Verdict.passed()
-
-
-def max_independent_extension(matroid: FiniteMatroid, independent: Iterable[int],
-                              within: Iterable[int]) -> frozenset:
-    """Greedy maximal independent superset of `independent` inside `within`.
-
-    Ties break by ascending element id, so the result is deterministic.
-    """
-    seed = matroid._subset(independent, "seed")
-    target = matroid._subset(within, "target")
-    if not seed <= target:
-        raise GroundError("seed must lie inside the target set")
-    if not matroid.is_independent(seed):
-        raise DependenceError(f"seed {fmt(seed)} is dependent")
-    current = set(seed)
-    for e in sorted(target - seed):
-        if matroid.is_independent(current | {e}):
-            current.add(e)
-    return frozenset(current)

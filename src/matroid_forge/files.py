@@ -349,7 +349,3 @@ def parse_tasks_text(text: str) -> list[tuple[str, TemplateSet, TemplateSet]]:
     if not tasks:
         raise ParseError("no task blocks found", last)
     return tasks
-
-
-def emit_task_text(name: str, lower: TemplateSet, upper: TemplateSet) -> str:
-    return f"task {name}\nlower {lower.directive()}\nupper {upper.directive()}\n"

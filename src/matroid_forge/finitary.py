@@ -51,12 +51,6 @@ class FinitaryMatroid:
     def finite_rank(self, xs: Iterable[int]) -> int:
         raise NotImplementedError
 
-    def is_finite_independent(self, xs: Iterable[int]) -> bool:
-        s = frozenset(int(e) for e in xs)
-        if any(e < 0 for e in s):
-            raise SpecError("element ids are natural numbers")
-        return self.finite_rank(s) == len(s)
-
     # templates -------------------------------------------------------------
 
     def certify(self, template, over=None) -> bool:
@@ -195,7 +189,8 @@ class PeriodicSumMatroid(FinitaryMatroid):
         return masks
 
     def _window(self, *templates: TemplateSet) -> tuple[int, int]:
-        """(head length, tail cycle) so block patterns repeat beyond the head."""
+        """(head length, tail cycle) so block patterns repeat beyond the head; the
+        cycle is bounded in elements, as `_blocks` builds (head + cycle) * block bits."""
         top = max(t.threshold for t in templates)
         head = -(-top // self.block)
         if head > _HEAD_LIMIT:
@@ -203,7 +198,7 @@ class PeriodicSumMatroid(FinitaryMatroid):
         cycle = 1
         for t in templates:
             cycle = lcm(cycle, t.period // gcd(t.period, self.block))
-        if cycle > _PERIOD_LIMIT:
+        if cycle * self.block > _PERIOD_LIMIT:
             raise SpecError("combined template period too large for block analysis")
         return head, cycle
 

@@ -251,9 +251,6 @@ class TemplateSet:
     def issubset(self, other) -> bool:
         return (self - other).is_empty
 
-    def isdisjoint(self, other) -> bool:
-        return (self & other).is_empty
-
     def select(self, indices) -> "TemplateSet":
         """Image of an index set under the ascending enumeration of this set.
 

@@ -21,10 +21,6 @@ class TruncationLevel:
 
     value: int | None
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.value is None
-
     def __str__(self) -> str:
         return "trivial" if self.value is None else str(self.value)
 

@@ -83,14 +83,26 @@ class TestExitCodes:
 
     def test_hostile_template_is_two(self, workdir):
         huge = 10**12
-        for spec in (f"template d={huge} res=0", f"template t={huge}",
-                     f"template minus={huge}", f"set {huge}"):
+        (workdir / "wide.txt").write_text(
+            "matroid w\nkind periodic-sum\ncomponent kind uniform\ncomponent params k=1 n=64\n")
+        # the last two have tail cycles of 15,625 and 15,627 blocks of 64
+        # elements: 10**6 elements is the limit
+        for matroid, spec, code in (
+            ("free.txt", f"template d={huge} res=0", EXIT_USAGE),
+            ("free.txt", f"template t={huge}", EXIT_USAGE),
+            ("free.txt", f"template minus={huge}", EXIT_USAGE),
+            ("free.txt", f"set {huge}", EXIT_USAGE),
+            ("wide.txt", "template d=999983 res=0", EXIT_USAGE),
+            ("wide.txt", "template d=15627 res=0", EXIT_USAGE),
+            ("wide.txt", "template d=15625 res=0", 0),
+        ):
             start = time.perf_counter()
-            code, _ = dispatch([
-                "equiv", "classify", "--matroid", str(workdir / "free.txt"), "--set", spec,
+            got, report = dispatch([
+                "equiv", "classify", "--matroid", str(workdir / matroid), "--set", spec,
             ])
-            assert code == EXIT_USAGE
+            assert got == code, spec
             assert time.perf_counter() - start < 1
+        assert report_rows(report)["class"] == ["wild-candidate"]
 
     @pytest.mark.parametrize("matroid, spec, error", [
         ("matroid l\nkind linear\nprime\nrow 1 0\n", None,

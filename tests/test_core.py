@@ -5,7 +5,6 @@ import pytest
 
 from matroid_forge import (
     BoundError,
-    DependenceError,
     ExplicitMatroid,
     GraphicMatroid,
     GroundError,
@@ -13,7 +12,6 @@ from matroid_forge import (
     SpecError,
     UniformMatroid,
     check_base_axioms,
-    max_independent_extension,
     verify_family,
 )
 
@@ -121,8 +119,6 @@ class TestIndependence:
         assert m.is_independent(e for e in ("1", 2))
         assert not m.is_independent(str(e) for e in (1, 2, 3))
         assert m.relative_rank((e for e in [1]), (str(e) for e in [2])) == 1
-        assert m.span_of(e for e in [1, 2]) == m.ground
-        assert m.span_of(e for e in ["3"]) == {3}
         with pytest.raises(GroundError, match=r"^first argument \{5,6\} lies outside"):
             m.relative_rank((e for e in [1, 5, "6"]), [2])
         pairs = [{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}]
@@ -188,58 +184,17 @@ class TestRelativeRank:
         assert m.relative_rank({1, 2}, {1, 2}) == 0
         assert m.relative_rank({1, 2}, ()) == 2
 
-    def test_matches_contraction_route(self, corpus_small):
-        rng = random.Random(2)
-        for _, m in corpus_small:
-            elems = sorted(m.ground)
-            for _ in range(30):
-                x = frozenset(e for e in elems if rng.random() < 0.5)
-                y = frozenset(e for e in elems if rng.random() < 0.5)
-                if y == m.ground:
-                    continue
-                via_minor = m.contract(y).rank(x - y)
-                assert m.relative_rank(x, y) == via_minor
-
 
 class TestSpans:
     def test_examples(self):
         m = UniformMatroid(2, 4)
-        assert m.spans({1, 2}, 3)
-        assert not m.spans({1}, 3)
-        assert m.spans({1, 3}, 1)
+        assert m.span_mask(m.mask_of({1, 2})) == m.mask_of(m.ground)
+        assert m.span_mask(m.mask_of({1})) == m.mask_of({1})
+        assert m.span_mask(0) == 0
 
     def test_span_of(self):
         m = ExplicitMatroid({1, 2, 3}, [{1, 2}, {2, 3}])
-        assert m.span_of({1}) == {1, 3}
-
-
-class TestMinor:
-    def test_contract_uniform(self):
-        m = UniformMatroid(2, 4).contract({1})
-        assert m.ground == {2, 3, 4}
-        assert all(m.rank({e}) == 1 for e in m.ground)
-        assert all(m.rank(set(p)) == 1 for p in combinations(m.ground, 2))
-
-    def test_delete_uniform(self):
-        m = UniformMatroid(2, 4).delete({1})
-        expected = UniformMatroid(2, 3)
-        for s in subsets(m.ground):
-            assert m.rank(s) == min(2, len(s))
-        assert expected.full_rank == m.full_rank
-
-    def test_identity(self):
-        m = UniformMatroid(2, 4)
-        assert m.minor((), ()) is m
-
-    def test_overlap_rejected(self):
-        with pytest.raises(GroundError):
-            UniformMatroid(2, 4).minor({1}, {1})
-
-    def test_minor_rank_formula(self):
-        m = GraphicMatroid([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
-        sub = m.minor(deleted={4}, contracted={1})
-        for s in subsets(sub.ground):
-            assert sub.rank(s) == m.rank(s | {1}) - m.rank({1})
+        assert m.set_of(m.span_mask(m.mask_of({1}))) == {1, 3}
 
 
 class TestBaseAxioms:
@@ -281,32 +236,6 @@ class TestBaseAxioms:
             for b1 in bases:
                 for b2 in bases:
                     assert len(b1 - b2) == len(b2 - b1), name
-
-
-class TestMaxIndependentExtension:
-    def test_greedy_smallest(self):
-        m = UniformMatroid(2, 4)
-        assert max_independent_extension(m, {1}, {1, 2, 3}) == {1, 2}
-
-    def test_already_maximal(self):
-        m = UniformMatroid(2, 4)
-        assert max_independent_extension(m, {1, 2}, {1, 2}) == {1, 2}
-
-    def test_empty(self):
-        m = UniformMatroid(2, 4)
-        assert max_independent_extension(m, (), ()) == frozenset()
-
-    def test_dependent_seed_rejected(self):
-        m = ExplicitMatroid({1, 2, 3}, [{1, 2}, {2, 3}])
-        with pytest.raises(DependenceError):
-            max_independent_extension(m, {1, 3}, {1, 2, 3})
-
-    def test_result_is_maximal(self, corpus_small):
-        for _, m in corpus_small:
-            got = max_independent_extension(m, (), m.ground)
-            assert m.is_independent(got)
-            for e in m.ground - got:
-                assert not m.is_independent(got | {e})
 
 
 def test_empty_ground_matroid():

@@ -90,12 +90,12 @@ class TestCotruncate:
 class TestClassify:
     def test_level_found(self):
         level = classify_truncation(UniformMatroid(3, 4), UniformMatroid(2, 4))
-        assert level == TruncationLevel(2) and not level.is_trivial
+        assert level == TruncationLevel(2)
 
     def test_trivial(self):
         m = UniformMatroid(3, 4)
         level = classify_truncation(m, m)
-        assert level is not None and level.is_trivial
+        assert level is not None and level.value is None
 
     def test_none(self):
         m = UniformMatroid(3, 4)
@@ -113,14 +113,14 @@ class TestClassify:
                 level = classify_truncation(m, truncate_to(m, k))
                 assert level is not None, name
                 if k == r:
-                    assert level.is_trivial
+                    assert level.value is None
                 else:
                     assert level.value == k
 
 
 class TestLevels:
     def test_parse(self):
-        assert TruncationLevel.parse("trivial").is_trivial
+        assert TruncationLevel.parse("trivial").value is None
         assert TruncationLevel.parse("-2").value == -2
         with pytest.raises(SpecError):
             TruncationLevel.parse("x")
