@@ -46,6 +46,17 @@ EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
 
 
+def _io_failure(action: str, label: str, path: str, exc: OSError) -> str:
+    return f"cannot {action} {label} file {path}: {exc.strerror or exc}"
+
+
+def _write_output(label: str, path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise MatroidForgeError(_io_failure("write", label, path, exc)) from exc
+
+
 class Report:
     """Ordered key/value report; text and JSON renderings carry the same data."""
 
@@ -58,10 +69,18 @@ class Report:
 
     def read_input(self, label: str, path: str) -> str:
         """The text of an input file, read once; its `input` row carries the
-        sha256 of exactly the bytes returned."""
-        data = Path(path).read_bytes()
+        sha256 of exactly the bytes returned.  A file that cannot be read or
+        is not UTF-8 is an input error."""
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise MatroidForgeError(_io_failure("read", label, path, exc)) from exc
         self.rows.append(("input", f"{label}={path} sha256={hashlib.sha256(data).hexdigest()}"))
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MatroidForgeError(f"cannot decode {label} file {path} as UTF-8: {exc.reason} "
+                                    f"at byte {exc.start}") from exc
 
     def to_text(self) -> str:
         elapsed = int((time.perf_counter() - self.started) * 1000)
@@ -91,6 +110,13 @@ def _load_finitary(report: Report, path: str) -> FinitaryMatroid:
     if not isinstance(m, FinitaryMatroid):
         raise MatroidForgeError("this command needs a finitary schema (free or periodic-sum)")
     return m
+
+
+def _load_classes(report: Report, matroid: FinitaryMatroid, path: str) -> TruncationFamily:
+    _, mode, members = parse_family_text(report.read_input("family", path))
+    if mode != "classes":
+        raise MatroidForgeError("finitary families take `class` lines")
+    return TruncationFamily.build(matroid, members)
 
 
 def _load_setspec(report: Report, label: str, value: str):
@@ -215,11 +241,12 @@ def _cmd_truncate(args, report: Report) -> int:
     matroid = _load_finite(report, args.matroid)
     level = TruncationLevel.parse(args.level)
     result = apply_level(matroid, level)
+    bases = len(result.bases())  # bound-guarded, so it runs before the text is built
     text = emit_matroid_text(result)
     report.add("level", level)
-    report.add("bases", len(result.bases()))
+    report.add("bases", bases)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_output("matroid", args.out, text)
         report.add("out", args.out)
     else:
         report.add("matroid-text", "\n" + text.rstrip())
@@ -279,10 +306,7 @@ def _cmd_gentrunc(args, report: Report) -> int:
     matroid = _load_finitary(report, args.matroid)
     if not args.family:
         raise MatroidForgeError("verify-finitary needs --family")
-    _, mode, members = parse_family_text(report.read_input("family", args.family))
-    if mode != "classes":
-        raise MatroidForgeError("finitary families take `class` lines")
-    family = TruncationFamily.build(matroid, members)
+    family = _load_classes(report, matroid, args.family)
     tasks = []
     if args.tasks:
         tasks = [(lo, up) for _, lo, up in parse_tasks_text(report.read_input("tasks", args.tasks))]
@@ -298,17 +322,14 @@ def _cmd_forcing(args, report: Report) -> int:
         text = emit_family_text(f"seed{args.prefix}", family.representatives)
         report.add("classes", len(family.representatives))
         if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
+            _write_output("family", args.out, text)
             report.add("out", args.out)
         else:
             report.add("family-text", "\n" + text.rstrip())
         return EXIT_OK
     if not args.family or not args.task:
         raise MatroidForgeError(f"{args.action} needs --family and --task")
-    _, mode, members = parse_family_text(report.read_input("family", args.family))
-    if mode != "classes":
-        raise MatroidForgeError("forcing families take `class` lines")
-    family = TruncationFamily.build(matroid, members)
+    family = _load_classes(report, matroid, args.family)
     name, lower, upper = parse_tasks_text(report.read_input("task", args.task))[0]
     task = make_task(matroid, lower, upper)
     report.add("task", name)
@@ -360,9 +381,6 @@ def _run(args: argparse.Namespace) -> tuple[int, Report]:
     except MatroidForgeError as exc:
         report.add("error", str(exc))
         return EXIT_USAGE, report
-    except FileNotFoundError as exc:
-        report.add("error", f"cannot read {exc.filename}")
-        return EXIT_USAGE, report
     report.add("exit", str(code))
     return code, report
 
@@ -377,7 +395,12 @@ def main(argv: list[str] | None = None) -> int:
     rendered = report.to_json() if args.json else report.to_text()
     sys.stdout.write(rendered)
     if args.report:
-        Path(args.report).write_text(rendered, encoding="utf-8")
+        try:
+            _write_output("report", args.report, rendered)
+        except MatroidForgeError as exc:
+            # the report on standard output stays whole; the failure goes to stderr
+            sys.stderr.write(f"error {exc}\n")
+            return EXIT_USAGE
     return code
 
 

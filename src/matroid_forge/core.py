@@ -13,8 +13,9 @@ The two exhaustive checks, `check_base_masks` here and
 `size_keys`; the frozenset functions `check_base_axioms` and
 `gentrunc.verify_family` are thin wrappers in front of them that normalise
 the input, check the ground and the declared bound, and convert to masks.
-The cores read no environment; their callers check the ground bound, once,
-and `verify_family_masks` also checks `ENUMERATION_MAX_GROUND`.
+`check_base_masks` reads no environment: its callers check the ground
+bound, once.  `verify_family_masks` also checks `ENUMERATION_MAX_GROUND`
+itself, through `check_bound`, so it reads `MATROID_FORGE_MAX_GROUND`.
 
 An explicit base list is quarantined: the constructor refuses it unless the
 base axioms hold, so every matroid object in the system can be trusted to
@@ -263,11 +264,7 @@ class FiniteMatroid:
     # -- validation ---------------------------------------------------------
 
     def _subset(self, xs: Iterable[int], what: str = "argument") -> frozenset:
-        if type(xs) is frozenset:
-            if xs <= self.ground:
-                return xs
-            raise GroundError(f"{what} {fmt(xs - self.ground)} lies outside the ground set")
-        s = frozenset(int(e) for e in xs)
+        s = xs if type(xs) is frozenset else frozenset(int(e) for e in xs)
         if not s <= self.ground:
             raise GroundError(f"{what} {fmt(s - self.ground)} lies outside the ground set")
         return s

@@ -176,6 +176,11 @@ def _build_matroid(name: str, kind: str | None, state: dict, line: int):
     raise ParseError(f"unknown matroid kind {kind!r}", line)
 
 
+# the matroid kind each kind-specific directive belongs to
+_DIRECTIVE_KIND = {"params": "uniform", "edge": "graphic", "prime": "linear", "row": "linear",
+                   "ground": "explicit", "base": "explicit", "component": "periodic-sum"}
+
+
 def parse_matroid_text(text: str):
     """Parse one matroid block; returns a FiniteMatroid or FinitaryMatroid."""
     name = "m"
@@ -186,6 +191,9 @@ def parse_matroid_text(text: str):
     for line, words in _tokens(text):
         last = line
         head, rest = words[0], words[1:]
+        owner = _DIRECTIVE_KIND.get(head)
+        if owner is not None and kind != owner:
+            raise ParseError(f"`{head}` only applies to kind {owner}", line)
         if head == "matroid":
             if seen_header:
                 raise ParseError("only one matroid block per file", line)
@@ -196,8 +204,6 @@ def parse_matroid_text(text: str):
                 raise ParseError("kind takes exactly one value", line)
             kind = rest[0]
         elif head == "params":
-            if kind != "uniform":
-                raise ParseError("`params` only applies to kind uniform", line)
             kv = _kv(rest, line)
             unknown = set(kv) - {"k", "n"}
             if unknown:
@@ -208,14 +214,10 @@ def parse_matroid_text(text: str):
                     raise ParseError(f"missing parameter {key!r}", line)
             state["params"] = (values["k"], values["n"]), line
         elif head == "edge":
-            if kind != "graphic":
-                raise ParseError("`edge` only applies to kind graphic", line)
             if len(rest) != 2:
                 raise ParseError("edge takes two vertex names", line)
             state.setdefault("edges", []).append((rest[0], rest[1]))
         elif head == "prime":
-            if kind != "linear":
-                raise ParseError("`prime` only applies to kind linear", line)
             if len(rest) != 1:
                 raise ParseError("prime takes exactly one value", line)
             state["prime"] = _int(rest[0], line)
@@ -224,20 +226,12 @@ def parse_matroid_text(text: str):
             except MatroidForgeError as exc:
                 raise ParseError(str(exc), line) from exc
         elif head == "row":
-            if kind != "linear":
-                raise ParseError("`row` only applies to kind linear", line)
             state.setdefault("rows", []).append(_ints(rest, line))
         elif head == "ground":
-            if kind != "explicit":
-                raise ParseError("`ground` only applies to kind explicit", line)
             state["ground"] = _ints(rest, line)
         elif head == "base":
-            if kind != "explicit":
-                raise ParseError("`base` only applies to kind explicit", line)
             state.setdefault("bases", []).append(_ints(rest, line))
         elif head == "component":
-            if kind != "periodic-sum":
-                raise ParseError("`component` only applies to kind periodic-sum", line)
             state.setdefault("component_lines", []).append(" ".join(rest))
         else:
             raise ParseError(f"unknown directive {head!r}", line)

@@ -41,6 +41,14 @@ def _join(masks: list[int], width: int) -> int:
     return masks[0] if masks else 0
 
 
+def _natural_ids(xs: Iterable[int]) -> frozenset:
+    """The ids of a finite set, refused unless each is a natural number."""
+    ids = frozenset(int(v) for v in xs)
+    if ids and min(ids) < 0:
+        raise SpecError("element ids are natural numbers")
+    return ids
+
+
 class FinitaryMatroid:
     """Countable matroid of infinite rank with decidable template reasoning."""
 
@@ -112,7 +120,7 @@ class FreeMatroid(FinitaryMatroid):
     kind = "free"
 
     def finite_rank(self, xs: Iterable[int]) -> int:
-        return len(frozenset(xs))
+        return len(_natural_ids(xs))
 
     def certify(self, template, over=None) -> bool:
         TemplateSet.coerce(template)
@@ -202,6 +210,14 @@ class PeriodicSumMatroid(FinitaryMatroid):
             raise SpecError("combined template period too large for block analysis")
         return head, cycle
 
+    def _split(self, *sets) -> tuple[int, int, zip]:
+        """(head, cycle, the sets' component masks side by side per block) over
+        their common window; None stands for the empty set."""
+        ts = [TemplateSet.empty() if s is None else TemplateSet.coerce(s) for s in sets]
+        head, cycle = self._window(*ts)
+        count = head + cycle
+        return head, cycle, zip(*[self._blocks(t, count) for t in ts])
+
     def _extend(self, chosen: int, pool: int, size: int, over: int = 0) -> int:
         """Greedy: add positions of pool in ascending order while chosen stays
         independent over `over`, until it has `size` elements."""
@@ -229,9 +245,7 @@ class PeriodicSumMatroid(FinitaryMatroid):
 
     def finite_rank(self, xs: Iterable[int]) -> int:
         blocks: dict[int, int] = {}
-        for e in frozenset(int(v) for v in xs):
-            if e < 0:
-                raise SpecError("element ids are natural numbers")
+        for e in _natural_ids(xs):
             c, p = divmod(e, self.block)
             blocks[c] = blocks.get(c, 0) | 1 << p
         return sum(map(self.component.rank_mask, blocks.values()))
@@ -239,31 +253,18 @@ class PeriodicSumMatroid(FinitaryMatroid):
     # templates -------------------------------------------------------------
 
     def certify(self, template, over=None) -> bool:
-        t = TemplateSet.coerce(template)
-        o = TemplateSet.coerce(over) if over is not None else TemplateSet.empty()
-        head, cycle = self._window(t, o)
+        _, _, blocks = self._split(template, over)
         rank = self.component.rank_mask
-        return all(
-            rank(tp | op) == (tp & ~op).bit_count() + rank(op)
-            for tp, op in zip(self._blocks(t, head + cycle), self._blocks(o, head + cycle))
-        )
+        return all(rank(tp | op) == (tp & ~op).bit_count() + rank(op) for tp, op in blocks)
 
     def relative_rank(self, xs, ys) -> int | float:
-        x = TemplateSet.coerce(xs)
-        y = TemplateSet.coerce(ys)
-        head, cycle = self._window(x, y)
+        head, _, blocks = self._split(xs, ys)
         rank = self.component.rank_mask
-        gains = [
-            rank(xp | yp) - rank(yp)
-            for xp, yp in zip(self._blocks(x, head + cycle), self._blocks(y, head + cycle))
-        ]
+        gains = [rank(xp | yp) - rank(yp) for xp, yp in blocks]
         return INFINITE if any(gains[head:]) else sum(gains)
 
     def max_independent_subtemplate(self, template, over=None) -> TemplateSet:
-        t = TemplateSet.coerce(template)
-        o = TemplateSet.coerce(over) if over is not None else TemplateSet.empty()
-        head, cycle = self._window(t, o)
-        blocks = zip(self._blocks(t, head + cycle), self._blocks(o, head + cycle))
+        head, cycle, blocks = self._split(template, over)
         chosen = [self._extend(0, tp, self.block, op) for tp, op in blocks]
         return self._template(chosen, head, cycle)
 
@@ -291,11 +292,9 @@ class PeriodicSumMatroid(FinitaryMatroid):
         # B ~ rep iff all but finitely many blocks B_c span exactly cl(R_c) and
         # the sum of |B_c| - |R_c| is 0: every tail block needs such a spanning
         # choice, and the head plus finitely many deviating tail blocks must balance
-        r, lo = TemplateSet.coerce(rep), TemplateSet.coerce(lower)
-        up = TemplateSet.coerce(upper) if upper is not None else TemplateSet.full()
-        head, cycle = self._window(r, lo, up)
+        head, cycle, parts = self._split(lower, TemplateSet.full() if upper is None else upper, rep)
+        parts = list(parts)
         comp = self.component
-        parts = list(zip(*(self._blocks(t, head + cycle) for t in (lo, up, r))))
 
         def grow(lp: int, pool: int, rp: int, size: int) -> int:
             # independent extension of lp inside pool up to `size`, rep's elements first

@@ -23,7 +23,7 @@ from typing import Iterable
 from .core import Verdict
 from .errors import ClaimError, FamilyError, SchemaError, SpecError, TaskError
 from .finitary import INFINITE, FinitaryMatroid, removal_witness
-from .gentrunc import TruncationFamily, settling_member
+from .gentrunc import TruncationFamily, require_task_pair, settling_member
 from .templates import TemplateSet
 
 
@@ -69,14 +69,8 @@ class Task:
 
 
 def make_task(matroid: FinitaryMatroid, lower, upper) -> Task:
-    lo = TemplateSet.coerce(lower)
-    up = TemplateSet.coerce(upper)
-    if not matroid.certify(lo):
-        raise TaskError("lower set is not independent")
-    if not matroid.certify(up):
-        raise TaskError("upper set is not independent")
-    if not lo.issubset(up):
-        raise TaskError("lower set must be contained in the upper set")
+    """The task on a nested independent pair (`require_task_pair`) with infinite gap."""
+    lo, up = require_task_pair(matroid, lower, upper)
     if not (up - lo).is_infinite:
         raise TaskError("the gap between lower and upper set must be infinite")
     return Task(lo, up)
@@ -160,10 +154,7 @@ def _meet_gain(matroid: FinitaryMatroid, condition: Condition, rep: TemplateSet,
         if other != rep:
             ranks[other] += matroid.rank_change(condition.ones, other, add=added)
     ranks[rep] = rank
-    current = condition.assign(added, 1)
-    if not current.extends(condition):
-        raise SchemaError("gain extension altered the given condition")
-    return current
+    return condition.assign(added, 1)
 
 
 def _meet_guard(matroid: FinitaryMatroid, condition: Condition, rep: TemplateSet, level: int,
@@ -186,8 +177,6 @@ def _meet_guard(matroid: FinitaryMatroid, condition: Condition, rep: TemplateSet
         matroid, core, task.gap, condition.domain, level, over=task.lower
     )
     extended = condition.assign(witness, 0)
-    if not extended.extends(condition):
-        raise SchemaError("guard extension altered the given condition")
     remaining = task.upper - TemplateSet.from_finite(condition.zeros)
     for other in ranks:
         ranks[other] += matroid.rank_change(other, remaining, remove=witness)

@@ -247,12 +247,16 @@ class TruncationFamily:
         return iter(self.representatives)
 
 
-def _normalize_task_pair(matroid: FinitaryMatroid, pair) -> tuple[TemplateSet, TemplateSet]:
-    lower = matroid.require_independent(pair[0])
-    upper = matroid.require_independent(pair[1])
-    if not lower.issubset(upper):
-        raise TaskError("task lower set must be contained in the upper set")
-    return lower, upper
+def require_task_pair(matroid: FinitaryMatroid, lower, upper) -> tuple[TemplateSet, TemplateSet]:
+    """(lower, upper) as templates once they are a nested independent pair; TaskError otherwise."""
+    lo, up = TemplateSet.coerce(lower), TemplateSet.coerce(upper)
+    if not matroid.certify(lo):
+        raise TaskError("lower set is not independent")
+    if not matroid.certify(up):
+        raise TaskError("upper set is not independent")
+    if not lo.issubset(up):
+        raise TaskError("lower set must be contained in the upper set")
+    return lo, up
 
 
 def class_member(matroid: FinitaryMatroid, rep, lower, upper=None) -> TemplateSet | None:
@@ -289,15 +293,16 @@ def verify_family_finitary(
     by construction of the family, which must be built on `matroid`; condition
     3 (pairwise incomparability) reads its recorded pair, the witness of a `3`
     violation.  Condition 4 is checked for the supplied task pairs only,
-    decided exactly by `class_member`; a `4` violation carries every unmet
-    (lower, upper) pair in task order.
+    each refused unless it is a nested independent pair (`require_task_pair`)
+    and decided exactly by `class_member`; a `4` violation carries every
+    unmet (lower, upper) pair in task order.
     """
     family.require_schema(matroid)
     if family.comparable is not None:
         return Verdict.violation("3", *family.comparable)
     unmet = []
-    for raw in tasks:
-        lower, upper = _normalize_task_pair(matroid, raw)
+    for raw_lower, raw_upper in tasks:
+        lower, upper = require_task_pair(matroid, raw_lower, raw_upper)
         triggered = any(class_member(matroid, rep, lower) for rep in family)
         if triggered and not any(settling_member(matroid, rep, lower, upper) for rep in family):
             unmet.append((lower, upper))

@@ -33,15 +33,6 @@ class TruncationLevel:
         except ValueError as exc:
             raise SpecError(f"level must be an integer or 'trivial', got {text!r}") from exc
 
-    def validate_for(self, matroid: FiniteMatroid) -> None:
-        r = matroid.full_rank
-        if self.value is None:
-            return
-        if self.value >= 0 and self.value > r:
-            raise SpecError(f"level {self.value} exceeds rank {r}")
-        if self.value < 0 and -self.value > r:
-            raise SpecError(f"level {self.value} removes more than rank {r}")
-
 
 def truncate_to(matroid: FiniteMatroid, size: int) -> FiniteMatroid:
     """Matroid whose bases are all independent sets of the given size.  Bound-guarded."""
@@ -61,22 +52,20 @@ def cotruncate(matroid: FiniteMatroid, steps: int) -> FiniteMatroid:
     """Matroid whose bases arise by deleting `steps` elements from a base.
 
     steps = 0 is refused: that is the trivial truncation, not an operator
-    application.
+    application.  Bound-guarded: the base list is read, through its bound,
+    before the rank.
     """
     if steps <= 0:
         raise SpecError("cotruncation steps must be positive; zero means the matroid itself")
+    bases = matroid.bases()
     if steps > matroid.full_rank:
         raise SpecError(f"cannot remove {steps} elements from rank-{matroid.full_rank} bases")
-    bases = {
-        b - frozenset(drop)
-        for b in matroid.bases()
-        for drop in combinations(sorted(b), steps)
-    }
-    return ExplicitMatroid(matroid.ground, bases, name=f"{matroid.name}~-{steps}", _checked=True)
+    shrunk = {b - frozenset(drop) for b in bases for drop in combinations(sorted(b), steps)}
+    return ExplicitMatroid(matroid.ground, shrunk, name=f"{matroid.name}~-{steps}", _checked=True)
 
 
 def apply_level(matroid: FiniteMatroid, level: TruncationLevel) -> FiniteMatroid:
-    level.validate_for(matroid)
+    """The matroid at `level`; each operator checks the level's range after its bound."""
     if level.value is None:
         return matroid
     if level.value >= 0:

@@ -52,6 +52,9 @@ class TestEnumerationBounds:
             "g13": "matroid g13\nkind graphic\n"
                    + "".join(f"edge {u} {v}\n" for u, v in K5_PLUS_PATH),
             "u9": "matroid u9\nkind uniform\nparams k=4 n=9\n",
+            "l13": "matroid l13\nkind linear\nprime 3\n"
+                   + "".join("row " + " ".join(str((i * j + i) % 3) for j in range(13)) + "\n"
+                             for i in range(3)),
         }
         for name, text in texts.items():
             (tmp_path / f"{name}.txt").write_text(text)
@@ -59,6 +62,7 @@ class TestEnumerationBounds:
 
     def commands(self, path):
         return [
+            ["truncate", "--level", "trivial", "--matroid", path],
             ["truncate", "--level", "2", "--matroid", path],
             ["truncate", "--level", "-1", "--matroid", path],
             ["classify-truncation", "--matroid", path, "--candidate", path],
@@ -72,6 +76,23 @@ class TestEnumerationBounds:
                 errors = [v for k, v in report.rows if k == "error"]
                 assert code == EXIT_USAGE, (name, argv)
                 assert errors and "limited to 12 elements, got 13" in errors[0], (name, argv)
+
+    def test_bound_checked_before_any_rank(self, files, monkeypatch):
+        # no command may rank a set of a ground past the bound, even to check a level
+        calls = []
+        rank_of = LinearMatroid._rank_of
+
+        def counted(matroid, mask):
+            calls.append(mask)
+            return rank_of(matroid, mask)
+
+        monkeypatch.setattr(LinearMatroid, "_rank_of", counted)
+        for argv in self.commands(files["l13"]):
+            code, report = dispatch(argv)
+            errors = [v for k, v in report.rows if k == "error"]
+            assert code == EXIT_USAGE, argv
+            assert errors and "limited to 12 elements, got 13" in errors[0], argv
+        assert calls == []
 
     def test_override_lowers_bound(self, files, monkeypatch):
         for argv in self.commands(files["u9"]):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -149,6 +151,79 @@ class TestExitCodes:
         ):
             assert main(command) == 0
             assert main(command + ["--fuel", "256"]) == EXIT_USAGE
+
+
+class TestFileErrors:
+    """A file that cannot be read, decoded or written exits 2 with an error naming it."""
+
+    def test_directory_input(self, workdir):
+        code, report = dispatch(["axioms", "check", "--matroid", str(workdir)])
+        assert code == EXIT_USAGE
+        assert report_rows(report)["error"] == [
+            f"cannot read matroid file {workdir}: Is a directory"]
+
+    def test_undecodable_input(self, workdir):
+        path = workdir / "bom.txt"
+        path.write_bytes(b"\xff\xfe")
+        code, report = dispatch(["axioms", "check", "--matroid", str(path)])
+        assert code == EXIT_USAGE
+        assert report_rows(report)["error"] == [
+            f"cannot decode matroid file {path} as UTF-8: invalid start byte at byte 0"]
+
+    def test_unwritable_report(self, workdir, capsys):
+        target = workdir / "missing" / "r.txt"
+        code = main(["--report", str(target), "axioms", "check",
+                     "--matroid", str(workdir / "ex.txt")])
+        out = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "verdict ok" in out.out
+        assert out.err == f"error cannot write report file {target}: No such file or directory\n"
+
+    @pytest.mark.parametrize("argv, label", [
+        (["truncate", "--level", "-1", "--matroid", "u34.txt"], "matroid"),
+        (["forcing", "seed", "--matroid", "free.txt", "--prefix", "01"], "family"),
+    ])
+    def test_unwritable_out(self, workdir, argv, label):
+        target = workdir / "missing" / "x.txt"
+        argv = [str(workdir / a) if a.endswith(".txt") else a for a in argv]
+        code, report = dispatch([*argv, "--out", str(target)])
+        assert code == EXIT_USAGE
+        assert report_rows(report)["error"] == [
+            f"cannot write {label} file {target}: No such file or directory"]
+
+
+class TestTaskErrors:
+    """`gentrunc verify-finitary` and `forcing step` refuse a bad task or family alike."""
+
+    @pytest.mark.parametrize("matroid, family, task, error", [
+        ("ds.txt", "fam.txt", "task t\nlower all\nupper all\n", "lower set is not independent"),
+        ("free.txt", "fam.txt", "task t\nlower odds\nupper evens\n",
+         "lower set must be contained in the upper set"),
+        ("free.txt", "famfin.txt", "task t\nlower set\nupper odds\n",
+         "finitary families take `class` lines"),
+    ], ids=["dependent-lower", "not-nested", "set-family"])
+    def test_same_error_rows(self, workdir, matroid, family, task, error):
+        (workdir / "bad-task.txt").write_text(task)
+        common = ["--matroid", str(workdir / matroid), "--family", str(workdir / family)]
+        tasks = str(workdir / "bad-task.txt")
+        for argv in (["gentrunc", "verify-finitary", *common, "--tasks", tasks],
+                     ["forcing", "step", *common, "--task", tasks]):
+            code, report = dispatch(argv)
+            assert (code, report_rows(report)["error"]) == (EXIT_USAGE, [error]), argv
+
+
+def test_readme_cli_block_parses():
+    """Every command line of the README's CLI block parses, with and without its `[...]` parts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("matroid-forge ")]
+    assert lines
+    for line in lines:
+        for text in (re.sub(r"\s*\[[^]]*\]", "", line), re.sub(r"\[([^]]*)\]", r"\1", line)):
+            try:
+                build_parser().parse_args(shlex.split(text)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {text}")
 
 
 class TestCommands:

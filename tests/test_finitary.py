@@ -46,6 +46,11 @@ class TestConstruction:
         assert PAIRS.finite_rank({0, 3, 4}) == 3
         assert PAIRS.finite_rank({0, 1}) == 1
 
+    @pytest.mark.parametrize("schema", [FREE, PAIRS], ids=["free", "pairs"])
+    def test_negative_ids_refused(self, schema):
+        with pytest.raises(SpecError, match="element ids are natural numbers"):
+            schema.finite_rank([-1, 2])
+
     def test_blocks_over_long_windows(self):
         # windows of several hundred blocks, so the mask is sliced over more than one run
         rng = random.Random(7)
