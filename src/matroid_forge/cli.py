@@ -330,7 +330,10 @@ def _cmd_forcing(args, report: Report) -> int:
     if not args.family or not args.task:
         raise MatroidForgeError(f"{args.action} needs --family and --task")
     family = _load_classes(report, matroid, args.family)
-    name, lower, upper = parse_tasks_text(report.read_input("task", args.task))[0]
+    tasks = parse_tasks_text(report.read_input("task", args.task))
+    if len(tasks) > 1:
+        raise MatroidForgeError(f"{args.action} takes one task per --task file, got {len(tasks)}")
+    name, lower, upper = tasks[0]
     task = make_task(matroid, lower, upper)
     report.add("task", name)
     if args.action == "check-claims":

@@ -13,7 +13,11 @@ enumerates no independent sets and rank-checks only the non-members of each
 member size, and condition 3 computes spans only for members above the
 smallest size.  `verify_is_gen_truncation` checks the truncation definition
 itself (independence containment plus forced augmentation), giving an
-independent second route that the tests hold against the first.
+independent second route that the tests hold against the first.  It stays
+literal, with no level theorem: it asks the matroid about every
+candidate-independent set and every one-element extension of a non-base.
+`gentrunc verify` re-runs it after every `ok` verdict, so it works on masks
+and builds frozensets only for a witness.
 
 Enumeration comes in two flavours: the levels themselves, and a raw
 2^|independents| sweep with no structural shortcuts, kept as the oracle.
@@ -149,20 +153,34 @@ def verify_is_gen_truncation(matroid: FiniteMatroid, candidate: FiniteMatroid) -
     (I) equal ground sets, (II) every candidate-independent set is matroid
     independent, (III) every non-base candidate-independent set absorbs any
     matroid-independent one-element extension.
+
+    Neither clause uses the level theorem of `verify_family_masks`: (II) asks
+    the matroid about every candidate-independent set, and (III) asks both
+    about every one-element extension of every candidate non-base.  The sets
+    are masks, in (size, sorted elements) order and then by added element;
+    once (I) holds both matroids number the ground alike, so a mask means the
+    same set to both.  The candidate's bases are its `bases()`, not filtered
+    by rank, so a candidate that is no matroid is judged by its own list.
+    Witnesses are frozensets: (set,) for II and (set, element) for III.
     """
     if matroid.ground != candidate.ground:
         return Verdict.violation("I", matroid.ground, candidate.ground)
-    for xs in candidate.independent_sets():
-        if not matroid.is_independent(xs):
-            return Verdict.violation("II", xs)
-    cand_bases = candidate.bases_set()
-    for xs in candidate.independent_sets():
-        if xs in cand_bases:
+    indep = candidate.independent_masks()
+    for m in indep:
+        if not matroid.independent_mask(m):
+            return Verdict.violation("II", candidate.set_of(m))
+    cand_bases = set(map(candidate.mask_of, candidate.bases()))
+    full = (1 << len(candidate.ground)) - 1
+    for m in indep:
+        if m in cand_bases:
             continue
-        for e in sorted(matroid.ground - xs):
-            grown = xs | {e}
-            if matroid.is_independent(grown) and not candidate.is_independent(grown):
-                return Verdict.violation("III", xs, e)
+        rest = full & ~m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if matroid.independent_mask(m | bit) and not candidate.independent_mask(m | bit):
+                return Verdict.violation("III", candidate.set_of(m),
+                                         candidate._order[bit.bit_length() - 1])
     return Verdict.passed()
 
 

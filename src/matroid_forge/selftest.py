@@ -18,11 +18,19 @@ from .core import (
     GraphicMatroid,
     UniformMatroid,
     Verdict,
+    check_base_axioms,
     size_order,
 )
 from .equivalence import almost_spans, relative_rank_difference_check, strongly_equivalent
 from .finitary import INFINITE, FinitaryMatroid, FreeMatroid, PeriodicSumMatroid
-from .gentrunc import RAW_ENUM_MAX_INDEP, enumerate_gen_truncations, enumerate_raw, family_sort_key
+from .gentrunc import (
+    RAW_ENUM_MAX_INDEP,
+    enumerate_gen_truncations,
+    enumerate_raw,
+    family_sort_key,
+    verify_family,
+    verify_is_gen_truncation,
+)
 from .templates import TemplateSet
 from .truncation import cotruncate, truncate_to
 
@@ -142,6 +150,34 @@ def enumeration_matches_raw(matroid: FiniteMatroid) -> Verdict:
     return Verdict.violation("enumeration", tuple(sorted(first, key=size_order)))
 
 
+def definition_bridge(matroid: FiniteMatroid, families: Iterable[list]) -> Verdict:
+    """`verify_family` passes a family iff the family is a base family (B1 and B2) whose
+    matroid passes the literal definition check `verify_is_gen_truncation`; witness: the
+    first family on which they disagree, as its members in size order."""
+    for family in families:
+        ours = verify_family(matroid, family).ok
+        # B1 fails on the empty family, so no candidate is built without a base
+        theirs = check_base_axioms(matroid.ground, family).ok and verify_is_gen_truncation(
+            matroid, ExplicitMatroid(matroid.ground, family, _checked=True)).ok
+        if ours != theirs:
+            return Verdict.violation("definition-bridge", tuple(sorted(family, key=size_order)))
+    return Verdict.passed()
+
+
+def level_families(matroid: FiniteMatroid) -> Iterator[list[frozenset]]:
+    """Each size level of `matroid`, each followed by one perturbed copy: the level less
+    its first member, or a one-member level plus the first independent set of another
+    size (a rank-0 matroid has none)."""
+    indep = matroid.independent_sets()
+    for k in range(matroid.full_rank + 1):
+        level = [s for s in indep if len(s) == k]
+        yield level
+        if len(level) > 1:
+            yield level[1:]
+        elif len(indep) > 1:
+            yield level + [next(s for s in indep if len(s) != k)]
+
+
 def _almost_spanning_examples(pairs: PeriodicSumMatroid) -> Verdict:
     """Worked cases on the free matroid and on `pairs`; witness (case index,)."""
     free = FreeMatroid()
@@ -200,6 +236,13 @@ def lemma_suite(seed: int = 0) -> list[SuiteRow]:
 
 
 def oracle_suite() -> list[SuiteRow]:
-    """The `selftest oracle` rows: fast enumeration against the raw oracle where it is in bounds."""
-    small = [m for m in _mini_corpus() if len(m.independent_sets()) <= RAW_ENUM_MAX_INDEP]
-    return [_first_violation("enumeration-matches-raw-oracle", small, enumeration_matches_raw)]
+    """The `selftest oracle` rows: fast enumeration against the raw oracle where it is in
+    bounds, and the family check against the definition check on each level and a
+    perturbed copy."""
+    corpus = _mini_corpus()
+    small = [m for m in corpus if len(m.independent_sets()) <= RAW_ENUM_MAX_INDEP]
+    return [
+        _first_violation("enumeration-matches-raw-oracle", small, enumeration_matches_raw),
+        _first_violation("family-check-matches-definition", corpus,
+                         lambda m: definition_bridge(m, level_families(m))),
+    ]

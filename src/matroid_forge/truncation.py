@@ -77,18 +77,20 @@ def classify_truncation(matroid: FiniteMatroid, candidate: FiniteMatroid) -> Tru
     """The unique level at which `candidate` is a truncation of `matroid`, if any.
 
     Full-rank matches report the trivial level.  A truncation's bases all
-    have its size, so only the size of the candidate's bases is tried.
-    Bound-guarded.
+    have its size, so only the size of the candidate's bases is tried: the
+    candidate is that truncation iff its base masks are the independent
+    masks of that size, the bases `truncate_to` would build.  Bound-guarded.
     """
     if matroid.ground != candidate.ground:
         raise GroundError("classification requires a common ground set")
-    check_bound("truncation classification", len(matroid.ground), ENUMERATION_MAX_GROUND)
-    target = candidate.bases_set()
-    sizes = {len(b) for b in target}
+    n = len(matroid.ground)
+    check_bound("truncation classification", n, ENUMERATION_MAX_GROUND)
+    target = set(map(candidate.mask_of, candidate.bases()))
+    sizes = {b.bit_count() for b in target}
     if len(sizes) != 1:
         return None
     size = sizes.pop()
     r = matroid.full_rank
-    if size <= r and truncate_to(matroid, size).bases_set() == target:
+    if size <= r and {m for m in masks_of_size(n, size) if matroid.independent_mask(m)} == target:
         return TruncationLevel(None if size == r else size)
     return None

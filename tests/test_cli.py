@@ -20,6 +20,8 @@ from matroid_forge import (
     relative_rank_difference_check,
     strongly_equivalent,
     truncate_to,
+    verify_family,
+    verify_is_gen_truncation,
 )
 from matroid_forge import selftest as st
 from matroid_forge.cli import EXIT_UNKNOWN, EXIT_USAGE, _run, build_parser, dispatch, main
@@ -210,6 +212,20 @@ class TestTaskErrors:
                      ["forcing", "step", *common, "--task", tasks]):
             code, report = dispatch(argv)
             assert (code, report_rows(report)["error"]) == (EXIT_USAGE, [error]), argv
+
+    @pytest.mark.parametrize("action", ["step", "check-claims"])
+    def test_forcing_refuses_a_second_task(self, workdir, action):
+        # task a alone gives `ok`; task b is not even nested, and a forcing
+        # command would not read it
+        (workdir / "two.txt").write_text("task a\nlower set\nupper odds\n"
+                                         "task b\nlower odds\nupper evens\n")
+        code, report = dispatch(["forcing", action, "--matroid", str(workdir / "free.txt"),
+                                 "--family", str(workdir / "fam.txt"),
+                                 "--task", str(workdir / "two.txt")])
+        rows = report_rows(report)
+        assert (code, rows["error"]) == (EXIT_USAGE,
+                                         [f"{action} takes one task per --task file, got 2"])
+        assert "task" not in rows
 
 
 def test_readme_cli_block_parses():
@@ -453,7 +469,8 @@ class TestCommands:
                   "finite-equivalence-is-equal-size", "relative-rank-difference-check",
                   "template-almost-spanning", "template-vs-restriction-rank",
                   "rank-change-is-local"]
-        for action, names in (("lemmas", lemmas), ("oracle", ["enumeration-matches-raw-oracle"])):
+        oracle = ["enumeration-matches-raw-oracle", "family-check-matches-definition"]
+        for action, names in (("lemmas", lemmas), ("oracle", oracle)):
             code, report = dispatch(["selftest", action])
             assert code == 0
             assert report_rows(report)["check"] == [f"{name} ok" for name in names]
@@ -506,6 +523,12 @@ WRONG_INPUTS = {
     "enumeration": (lambda: st.enumeration_matches_raw(DROPPING),
                     lambda members: (frozenset(members) in enumerate_gen_truncations(DROPPING))
                     != (frozenset(members) in enumerate_raw(DROPPING))),
+    # LOPSIDED's level {1,2} passes conditions 1-3, but {3} is an independent
+    # extension of {} that the level lacks, so the definition check fails it
+    "definition-bridge": (lambda: st.definition_bridge(LOPSIDED, st.level_families(LOPSIDED)),
+                          lambda members: verify_family(LOPSIDED, members).ok
+                          != verify_is_gen_truncation(LOPSIDED, ExplicitMatroid(
+                              LOPSIDED.ground, members, _checked=True)).ok),
 }
 
 

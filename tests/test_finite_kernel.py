@@ -19,6 +19,10 @@ condition 3 by a span for every member and element; the kernel reads both
 from the member sizes, and `TestVerifyFamilyWork` pins what it still asks.
 `TestLevelEnumeration` holds the size levels that `enumerate_gen_truncations`
 returns to both literal references.
+`reference_verify_is_gen_truncation` and `reference_classify_truncation` are
+the frozenset definition check and the classification through `truncate_to`
+that the kernel had before both moved onto masks; `TestDefinitionCheck` and
+`TestClassifyTruncation` hold the mask versions to them.
 """
 
 from __future__ import annotations
@@ -33,16 +37,22 @@ from matroid_forge import (
     GraphicMatroid,
     LinearMatroid,
     OracleMatroid,
+    TruncationLevel,
     UniformMatroid,
     Verdict,
     check_base_axioms,
+    classify_truncation,
     core,
+    cotruncate,
     enumerate_gen_truncations,
     truncate_to,
     verify_family,
+    verify_is_gen_truncation,
 )
 from matroid_forge.core import (
     AXIOM_CHECK_MAX_GROUND,
+    ENUMERATION_MAX_GROUND,
+    check_bound,
     down_closure,
     elements_of,
     exhaustive_bound,
@@ -158,6 +168,38 @@ def reference_verify_family(matroid, family) -> Verdict:
                 break
             sub = (sub - 1) & jmask
     return Verdict.passed()
+
+
+def reference_verify_is_gen_truncation(matroid, candidate) -> Verdict:
+    if matroid.ground != candidate.ground:
+        return Verdict.violation("I", matroid.ground, candidate.ground)
+    for xs in candidate.independent_sets():
+        if not matroid.is_independent(xs):
+            return Verdict.violation("II", xs)
+    cand_bases = candidate.bases_set()
+    for xs in candidate.independent_sets():
+        if xs in cand_bases:
+            continue
+        for e in sorted(matroid.ground - xs):
+            grown = xs | {e}
+            if matroid.is_independent(grown) and not candidate.is_independent(grown):
+                return Verdict.violation("III", xs, e)
+    return Verdict.passed()
+
+
+def reference_classify_truncation(matroid, candidate) -> TruncationLevel | None:
+    if matroid.ground != candidate.ground:
+        raise GroundError("classification requires a common ground set")
+    check_bound("truncation classification", len(matroid.ground), ENUMERATION_MAX_GROUND)
+    target = candidate.bases_set()
+    sizes = {len(b) for b in target}
+    if len(sizes) != 1:
+        return None
+    size = sizes.pop()
+    r = matroid.full_rank
+    if size <= r and truncate_to(matroid, size).bases_set() == target:
+        return TruncationLevel(None if size == r else size)
+    return None
 
 
 def reference_linear_rank(m: LinearMatroid, mask: int) -> int:
@@ -528,6 +570,107 @@ class TestLevelEnumeration:
             for level in levels:
                 assert reference_verify_family(m, level).ok, (name, level)
                 assert reference_check_base_axioms(m.ground, level).ok, (name, level)
+
+
+def definition_candidates(m):
+    """Candidates for the definition check on m, all built unchecked: each size
+    level, each union of two levels, each level with one member dropped, with one
+    independent set of another size added, or with one dependent set added, and a
+    candidate on a larger ground.  Most of them are no matroid."""
+    indep = m.independent_sets()
+    levels = [[s for s in indep if len(s) == k] for k in range(m.full_rank + 1)]
+    order = sorted(m.ground)
+    dependent = [frozenset(c) for k in range(len(order) + 1) for c in combinations(order, k)
+                 if not m.is_independent(c)]
+    for k, level in enumerate(levels):
+        families = [level] + [level + above for above in levels[k + 1:]]
+        families += [[s for s in level if s != drop] for drop in level if len(level) > 1]
+        families += [level + [s] for s in indep if len(s) != k]
+        families += [level + [s] for s in dependent]
+        for fam in families:
+            yield ExplicitMatroid(m.ground, fam, name="candidate", _checked=True)
+    yield ExplicitMatroid(m.ground | {max(order, default=0) + 1}, [set()], _checked=True)
+
+
+class TestDefinitionCheck:
+    def test_against_the_reference(self, corpus_unique):
+        tags = set()
+        parity = OracleMatroid({1, 2}, lambda s: len(s) % 2)  # no matroid: r({1, 2}) = 0
+        for name, m in corpus_unique + [("parity", parity)]:
+            for candidate in definition_candidates(m):
+                want = reference_verify_is_gen_truncation(m, candidate)
+                assert same(verify_is_gen_truncation(m, candidate), want), (name, candidate.bases())
+                tags.add(want.tag)
+        assert tags == {None, "I", "II", "III"}
+
+    def test_every_candidate_independent_set_is_asked(self, corpus_unique, monkeypatch):
+        # (II) is not cut down to the members: on a pass, the matroid was asked
+        # about every set the candidate calls independent
+        for name, m in corpus_unique:
+            for k in range(m.full_rank + 1):
+                candidate = truncate_to(m, k)
+                asked: set[int] = set()
+                with monkeypatch.context() as mp:
+                    mp.setattr(m, "independent_mask",
+                               lambda s, ask=m.independent_mask: asked.add(s) or ask(s))
+                    assert verify_is_gen_truncation(m, candidate).ok, (name, k)
+                assert asked >= set(candidate.independent_masks()), (name, k)
+
+    def test_no_frozenset_route(self, corpus_unique, monkeypatch):
+        cases = [(name, m, candidate, reference_verify_is_gen_truncation(m, candidate))
+                 for name, m in corpus_unique[::4] for candidate in definition_candidates(m)]
+
+        def refuse(*args):
+            raise AssertionError("the definition check built frozensets per set")
+
+        monkeypatch.setattr(core.FiniteMatroid, "independent_sets", refuse)
+        monkeypatch.setattr(core.FiniteMatroid, "is_independent", refuse)
+        for name, m, candidate, want in cases:
+            assert same(verify_is_gen_truncation(m, candidate), want), (name, candidate.bases())
+        assert {want.tag for *_, want in cases} == {None, "I", "II", "III"}
+
+
+def classify_candidates(m):
+    """Each `truncate_to` and `cotruncate` level of m, each with one base dropped
+    and each with the first subset of each other size added as a base."""
+    r, order = m.full_rank, sorted(m.ground)
+    for level in [truncate_to(m, k) for k in range(r + 1)] + \
+                 [cotruncate(m, steps) for steps in range(1, r + 1)]:
+        yield level
+        bases = list(level.bases())
+        if len(bases) > 1:
+            for drop in bases:
+                yield ExplicitMatroid(m.ground, [b for b in bases if b != drop], _checked=True)
+        for k in range(len(order) + 1):
+            if k != len(bases[0]):
+                extra = set(next(combinations(order, k)))
+                yield ExplicitMatroid(m.ground, bases + [extra], _checked=True)
+
+
+class TestClassifyTruncation:
+    def test_against_the_reference(self, corpus_unique):
+        levels = set()
+        for name, m in corpus_unique:
+            for candidate in classify_candidates(m):
+                want = reference_classify_truncation(m, candidate)
+                assert classify_truncation(m, candidate) == want, (name, candidate.bases())
+                levels.add("none" if want is None else "trivial" if want.value is None else "k")
+        assert levels == {"none", "trivial", "k"}
+
+    def test_errors_match(self, monkeypatch):
+        # a ground mismatch is refused before the bound, the bound before any rank
+        def refuse(*args):
+            raise AssertionError("ranked a set past the bound")
+
+        monkeypatch.setattr(LinearMatroid, "_rank_of", refuse)
+        wide = LinearMatroid(2, [[1] * 13])
+        same_ground = ExplicitMatroid(wide.ground, [{1}], _checked=True)
+        other_ground = ExplicitMatroid(range(1, 15), [{1}], _checked=True)
+        for classify in (reference_classify_truncation, classify_truncation):
+            with pytest.raises(GroundError, match="common ground set"):
+                classify(wide, other_ground)
+            with pytest.raises(BoundError, match="limited to 12 elements, got 13"):
+                classify(wide, same_ground)
 
 
 def seeded_matrices():
