@@ -241,7 +241,7 @@ def _cmd_truncate(args, report: Report) -> int:
     matroid = _load_finite(report, args.matroid)
     level = TruncationLevel.parse(args.level)
     result = apply_level(matroid, level)
-    bases = len(result.bases())  # bound-guarded, so it runs before the text is built
+    bases = len(result.base_masks())  # bound-guarded, so it runs before the text is built
     text = emit_matroid_text(result)
     report.add("level", level)
     report.add("bases", bases)

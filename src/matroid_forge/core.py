@@ -8,6 +8,10 @@ boundary and in witnesses.  Enumerations and witnesses follow the (size,
 sorted elements) order, which is not the (popcount, mask) order: {1,4}
 comes before {2,3}.
 
+A matroid holds its bases once, as the mask set `base_masks` returns: an
+explicit matroid's stored base list, else one cached enumeration.  `bases`
+and `independent_sets` are uncached frozenset views for the API boundary.
+
 The two exhaustive checks, `check_base_masks` here and
 `gentrunc.verify_family_masks`, take members as int masks sorted by
 `size_keys`; the frozenset functions `check_base_axioms` and
@@ -219,8 +223,7 @@ class FiniteMatroid:
         self._rank_cache: dict[int, int] = {}
         self._span_cache: dict[int, int] = {}
         self._indep_masks: tuple[int, ...] | None = None
-        self._indep_cache: tuple[frozenset, ...] | None = None
-        self._bases_cache: tuple[frozenset, ...] | None = None
+        self._base_masks: frozenset[int] | None = None
 
     # -- backend hook ------------------------------------------------------
 
@@ -301,7 +304,7 @@ class FiniteMatroid:
 
     @property
     def full_rank(self) -> int:
-        return self.rank_mask(self.mask_of(self.ground))
+        return self.rank_mask((1 << len(self._order)) - 1)
 
     # -- enumeration ---------------------------------------------------------
 
@@ -324,19 +327,19 @@ class FiniteMatroid:
 
     def independent_sets(self) -> tuple[frozenset, ...]:
         """All independent sets, sorted by (size, elements).  Bound-guarded."""
-        if self._indep_cache is None:
-            self._indep_cache = tuple(map(self.set_of, self.independent_masks()))
-        return self._indep_cache
+        return tuple(map(self.set_of, self.independent_masks()))
+
+    def base_masks(self) -> frozenset[int]:
+        """All bases as masks.  Bound-guarded: the bound is checked before the rank."""
+        if self._base_masks is None:
+            check_bound("base enumeration", len(self.ground), ENUMERATION_MAX_GROUND)
+            self._base_masks = frozenset(m for m in masks_of_size(len(self._order), self.full_rank)
+                                         if self.independent_mask(m))
+        return self._base_masks
 
     def bases(self) -> tuple[frozenset, ...]:
-        """All bases in sorted-elements order.  Bound-guarded."""
-        if self._bases_cache is None:
-            check_bound("base enumeration", len(self.ground), ENUMERATION_MAX_GROUND)
-            self._bases_cache = tuple(
-                self.set_of(m) for m in masks_of_size(len(self._order), self.full_rank)
-                if self.independent_mask(m)
-            )
-        return self._bases_cache
+        """All bases, sorted by (size, elements).  Bound-guarded."""
+        return tuple(sorted(map(self.set_of, self.base_masks()), key=size_order))
 
     def bases_set(self) -> frozenset:
         return frozenset(self.bases())
@@ -485,7 +488,8 @@ class LinearMatroid(FiniteMatroid):
 
 
 class ExplicitMatroid(FiniteMatroid):
-    """Matroid given by its base list.
+    """Matroid given by its base list, stored once as the distinct base masks
+    that `base_masks` returns with no bound.
 
     Quarantined: unless `_checked` is set by an internal caller that has
     already certified the family, construction runs the literal base-axiom
@@ -497,11 +501,9 @@ class ExplicitMatroid(FiniteMatroid):
     def __init__(self, ground: Iterable[int], bases: Iterable[Iterable[int]],
                  name: str = "m", _checked: bool = False):
         super().__init__(ground, name)
-        fam = frozenset(self._subset(b, "base") for b in bases)
-        if not fam:
+        self._base_masks = frozenset(self._subset_mask(b, "base") for b in bases)
+        if not self._base_masks:
             raise SpecError("an explicit matroid needs at least one base")
-        self._bases = fam
-        self._base_masks = tuple(map(self.mask_of, fam))
         if not _checked:
             n = len(self._order)
             check_bound("axiom check", n, AXIOM_CHECK_MAX_GROUND)
@@ -519,11 +521,6 @@ class ExplicitMatroid(FiniteMatroid):
 
     def independent_mask(self, mask: int) -> bool:
         return mask in self._independent
-
-    def bases(self) -> tuple[frozenset, ...]:
-        if self._bases_cache is None:
-            self._bases_cache = tuple(sorted(self._bases, key=lambda s: tuple(sorted(s))))
-        return self._bases_cache
 
 
 class OracleMatroid(FiniteMatroid):

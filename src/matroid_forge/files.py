@@ -80,6 +80,17 @@ def _comma_list(value: str) -> list[str]:
     return value.split(",") if value else []
 
 
+def _template_error(exc: Exception, fields: tuple, line: int) -> ParseError:
+    """The error of a set spec whose template could not be built, naming `line`.
+
+    A malformed number is reported before any template error, and the first
+    one in field order is named; `fields` pairs each value with its parser.
+    """
+    for value, parse in fields:
+        parse(value, line)
+    return ParseError(str(exc), line)
+
+
 def parse_setspec(words: list[str], line: int = 0) -> TemplateSet:
     """One set spec: a `set` line, a `template` line, or a shorthand."""
     if not words:
@@ -89,9 +100,8 @@ def parse_setspec(words: list[str], line: int = 0) -> TemplateSet:
     if head == "set":
         try:
             return TemplateSet.from_finite(rest)
-        except ValueError:
-            _ints(rest, line)  # raises the ParseError for the malformed number
-            raise
+        except (ValueError, MatroidForgeError) as exc:
+            raise _template_error(exc, ((rest, _ints),), line) from exc
     if head == "template":
         kv = _kv(rest, line)
         unknown = set(kv) - {"d", "res", "t", "low", "minus"}
@@ -103,11 +113,9 @@ def parse_setspec(words: list[str], line: int = 0) -> TemplateSet:
         try:
             return TemplateSet(*(value for value, _ in fields))
         except (ValueError, MatroidForgeError) as exc:
-            # a malformed number is reported before any template error, and
-            # the first one in field order is named
-            for value, parse in fields:
-                parse(value, line)
-            raise ParseError(str(exc), line) from exc
+            raise _template_error(exc, fields, line) from exc
+    if head in ("evens", "odds", "all") and rest:
+        raise ParseError(f"{head} takes no arguments", line)
     if head == "evens":
         return TemplateSet(2, [0])
     if head == "odds":

@@ -21,10 +21,15 @@ from itertools import chain
 from typing import Iterable
 
 from .core import Verdict
-from .errors import ClaimError, FamilyError, SchemaError, SpecError, TaskError
+from .errors import BoundError, ClaimError, FamilyError, SchemaError, SpecError, TaskError
 from .finitary import INFINITE, FinitaryMatroid, removal_witness
 from .gentrunc import TruncationFamily, require_task_pair, settling_member
 from .templates import TemplateSet
+
+# Declared bound on the depth of one step, checked before any work; the
+# environment does not lower it.  A step's work grows about quadratically
+# with its depth.
+STEP_MAX_DEPTH = 1000
 
 
 @dataclass(frozen=True)
@@ -318,11 +323,14 @@ def forcing_step(
     kept by a ledger that every extension updates on the blocks its new
     elements touch; gain ranks start at 0, guard ranks at r(rep / upper).  The
     final ledgers are the evidence, which `verify_certificate`, the one
-    re-check, holds to the window-wide ranks by equality.  Claim precondition
-    failures propagate as ClaimError.
+    re-check, holds to the window-wide ranks by equality.  A depth past
+    `STEP_MAX_DEPTH` is refused before the claim preconditions are checked.
+    Claim precondition failures propagate as ClaimError.
     """
     if depth < 0:
         raise SpecError("depth must be a natural number")
+    if depth > STEP_MAX_DEPTH:
+        raise BoundError(f"forcing depth limited to {STEP_MAX_DEPTH}, got {depth}")
     claims = check_claim_preconditions(matroid, family, task)
     if not claims:
         raise ClaimError(claims)

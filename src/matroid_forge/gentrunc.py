@@ -159,7 +159,7 @@ def verify_is_gen_truncation(matroid: FiniteMatroid, candidate: FiniteMatroid) -
     about every one-element extension of every candidate non-base.  The sets
     are masks, in (size, sorted elements) order and then by added element;
     once (I) holds both matroids number the ground alike, so a mask means the
-    same set to both.  The candidate's bases are its `bases()`, not filtered
+    same set to both.  The candidate's bases are its `base_masks()`, not filtered
     by rank, so a candidate that is no matroid is judged by its own list.
     Witnesses are frozensets: (set,) for II and (set, element) for III.
     """
@@ -169,7 +169,7 @@ def verify_is_gen_truncation(matroid: FiniteMatroid, candidate: FiniteMatroid) -
     for m in indep:
         if not matroid.independent_mask(m):
             return Verdict.violation("II", candidate.set_of(m))
-    cand_bases = set(map(candidate.mask_of, candidate.bases()))
+    cand_bases = candidate.base_masks()
     full = (1 << len(candidate.ground)) - 1
     for m in indep:
         if m in cand_bases:

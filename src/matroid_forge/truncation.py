@@ -85,7 +85,7 @@ def classify_truncation(matroid: FiniteMatroid, candidate: FiniteMatroid) -> Tru
         raise GroundError("classification requires a common ground set")
     n = len(matroid.ground)
     check_bound("truncation classification", n, ENUMERATION_MAX_GROUND)
-    target = set(map(candidate.mask_of, candidate.bases()))
+    target = candidate.base_masks()
     sizes = {b.bit_count() for b in target}
     if len(sizes) != 1:
         return None

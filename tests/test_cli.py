@@ -130,6 +130,34 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert report_rows(report)["error"] == [error]
 
+    def test_setspec_errors_name_their_line(self, workdir):
+        # a `set` member the template refuses and a shorthand with extra words
+        # are parse errors naming their line, as a bad `template` line is
+        (workdir / "negfam.txt").write_text("family f\nclass evens\nclass set -1\n")
+        for argv, error in (
+            (["gentrunc", "verify-finitary", "--family", str(workdir / "negfam.txt")],
+             "line 3: template members are natural numbers"),
+            (["equiv", "classify", "--set", "evens 3"], "line 1: evens takes no arguments"),
+        ):
+            code, report = dispatch([*argv, "--matroid", str(workdir / "free.txt")])
+            assert (code, report_rows(report)["error"]) == (EXIT_USAGE, [error]), argv
+
+    def test_forcing_depth_past_the_bound_is_two(self, workdir, monkeypatch):
+        calls = []
+        rank = FreeMatroid.relative_rank
+        monkeypatch.setattr(FreeMatroid, "relative_rank",
+                            lambda *args: calls.append(args) or rank(*args))
+        start = time.perf_counter()
+        code, report = dispatch([
+            "forcing", "step", "--matroid", str(workdir / "free.txt"),
+            "--family", str(workdir / "fam.txt"), "--task", str(workdir / "task.txt"),
+            "--depth", "1001",
+        ])
+        assert time.perf_counter() - start < 1
+        assert (code, report_rows(report)["error"]) == (
+            EXIT_USAGE, ["forcing depth limited to 1000, got 1001"])
+        assert calls == []
+
     def test_false_equiv_is_one(self, workdir):
         code, _ = dispatch([
             "equiv", "almost-spans",

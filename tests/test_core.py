@@ -12,6 +12,7 @@ from matroid_forge import (
     SpecError,
     UniformMatroid,
     check_base_axioms,
+    core,
     verify_family,
 )
 
@@ -96,6 +97,26 @@ class TestConstruction:
     def test_explicit_too_big_refused(self):
         with pytest.raises(BoundError):
             ExplicitMatroid(range(1, 14), [set(range(1, 14))])
+
+    def test_explicit_error_order(self, monkeypatch):
+        # a base outside the ground, then no base, then the bound, then the axioms
+        wide = range(1, 14)
+        with pytest.raises(GroundError, match=r"^base \{14\} lies outside the ground set$"):
+            ExplicitMatroid(wide, [{1}, {2, 3}, {14}])
+        with pytest.raises(SpecError, match="needs at least one base"):
+            ExplicitMatroid(wide, [])
+
+        def refuse(*args):
+            raise AssertionError("sorted the bases")
+
+        # the size-keyed sort runs only inside the bound, and never on a checked list
+        monkeypatch.setattr(core, "size_sorted", refuse)
+        with pytest.raises(BoundError, match="limited to 12 elements, got 13"):
+            ExplicitMatroid(wide, [{1}, {2, 3}])
+        assert len(ExplicitMatroid(wide, [{1}, {2, 3}], _checked=True).base_masks()) == 2
+        monkeypatch.undo()
+        with pytest.raises(SpecError, match=r"^base family rejected: violation\(B2"):
+            ExplicitMatroid(range(1, 4), [{1}, {2, 3}])
 
 
 class TestIndependence:

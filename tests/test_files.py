@@ -153,6 +153,17 @@ class TestSetSpecs:
             parse_setspec_text("bogus 1 2")
         with pytest.raises(ParseError):
             parse_setspec_text("template q=1")
+        for spec in ("evens 3", "odds x", "all all"):
+            with pytest.raises(ParseError, match=f"^line 1: {spec.split()[0]} takes no arguments$"):
+                parse_setspec_text(spec)
+
+    def test_set_errors_name_their_line(self):
+        # a `set` member the template refuses is reported on its line, as a
+        # bad `template` line is
+        for spec, message in (("set -1", "template members are natural numbers"),
+                              ("template res=-1", r"residues must lie in \[0, period\)")):
+            with pytest.raises(ParseError, match=f"^line 3: {message}$"):
+                parse_family_text(f"family f\nclass evens\nclass {spec}\n")
 
     def test_errors_match_field_by_field_parse(self):
         # the parser hands members to the template as text; its errors must stay
@@ -160,12 +171,14 @@ class TestSetSpecs:
         def reference(spec):
             head, *rest = spec.split()
             if head == "set":
-                return TemplateSet.from_finite(_ints(rest, 1))
-            kv = dict(w.split("=", 1) for w in rest)
-            numbers = [_int(kv["d"], 1), _ints(kv["res"].split(","), 1), _int(kv["t"], 1),
-                       _ints(kv["low"].split(","), 1), _ints(kv["minus"].split(","), 1)]
+                make, numbers = TemplateSet.from_finite, [_ints(rest, 1)]
+            else:
+                kv = dict(w.split("=", 1) for w in rest)
+                make = TemplateSet
+                numbers = [_int(kv["d"], 1), _ints(kv["res"].split(","), 1), _int(kv["t"], 1),
+                           _ints(kv["low"].split(","), 1), _ints(kv["minus"].split(","), 1)]
             try:
-                return TemplateSet(*numbers)
+                return make(*numbers)
             except SpecError as exc:
                 raise ParseError(str(exc), 1) from exc
 

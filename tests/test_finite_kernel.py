@@ -436,11 +436,21 @@ class TestEnumerationOrder:
         level = [s for s in m.independent_sets() if len(s) == 2]
         assert level.index(frozenset({1, 4})) < level.index(frozenset({2, 3}))
 
-    def test_bases_sorted(self, corpus_unique):
-        for name, m in corpus_unique:
+    def test_bases_sorted(self, corpus_unique, corpus_wide):
+        rng = random.Random("bases-sorted")
+        for name, m in corpus_unique + corpus_wide:
             want = tuple(sorted((s for s in reference_independent_sets(m)
                                  if len(s) == m.full_rank), key=sorted))
             assert m.bases() == want, name
+            assert set(m.base_masks()) == {m.mask_of(b) for b in want}, name
+            # an explicit list is held once, whatever its order and repeats
+            listed = list(want) + rng.sample(want, min(2, len(want)))
+            rng.shuffle(listed)
+            explicit = ExplicitMatroid(m.ground, listed, _checked=True)
+            assert (explicit.base_masks(), explicit.bases()) == (m.base_masks(), want), name
+        # an unchecked list of mixed sizes is listed in (size, sorted elements) order
+        lopsided = ExplicitMatroid({1, 2, 3}, [{1, 2}, {3}], _checked=True)
+        assert lopsided.bases() == (frozenset({3}), frozenset({1, 2}))
 
 
 class TestVerifyFamily:
@@ -623,10 +633,11 @@ class TestDefinitionCheck:
         def refuse(*args):
             raise AssertionError("the definition check built frozensets per set")
 
-        monkeypatch.setattr(core.FiniteMatroid, "independent_sets", refuse)
-        monkeypatch.setattr(core.FiniteMatroid, "is_independent", refuse)
+        for method in ("independent_sets", "is_independent", "bases", "mask_of"):
+            monkeypatch.setattr(core.FiniteMatroid, method, refuse)
         for name, m, candidate, want in cases:
-            assert same(verify_is_gen_truncation(m, candidate), want), (name, candidate.bases())
+            got = verify_is_gen_truncation(m, candidate)
+            assert same(got, want), (name, sorted(candidate.base_masks()))
         assert {want.tag for *_, want in cases} == {None, "I", "II", "III"}
 
 
@@ -656,6 +667,20 @@ class TestClassifyTruncation:
                 assert classify_truncation(m, candidate) == want, (name, candidate.bases())
                 levels.add("none" if want is None else "trivial" if want.value is None else "k")
         assert levels == {"none", "trivial", "k"}
+
+    def test_no_frozenset_route(self, corpus_unique, monkeypatch):
+        cases = [(name, m, candidate, reference_classify_truncation(m, candidate))
+                 for name, m in corpus_unique[::4] for candidate in classify_candidates(m)]
+
+        def refuse(*args):
+            raise AssertionError("classify-truncation built frozensets per set")
+
+        for method in ("independent_sets", "is_independent", "bases", "mask_of"):
+            monkeypatch.setattr(core.FiniteMatroid, method, refuse)
+        for name, m, candidate, want in cases:
+            got = classify_truncation(m, candidate)
+            assert got == want, (name, sorted(candidate.base_masks()))
+        assert {want is None for *_, want in cases} == {True, False}
 
     def test_errors_match(self, monkeypatch):
         # a ground mismatch is refused before the bound, the bound before any rank

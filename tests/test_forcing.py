@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from matroid_forge import (
+    BoundError,
     ClaimError,
     Condition,
     FamilyError,
@@ -27,7 +28,7 @@ from matroid_forge import (
     verify_certificate,
     verify_family_finitary,
 )
-from matroid_forge.forcing import _gain_rank, _guard_rank
+from matroid_forge.forcing import STEP_MAX_DEPTH, _gain_rank, _guard_rank
 
 FREE = FreeMatroid()
 PAIRS = PeriodicSumMatroid(UniformMatroid(1, 2))
@@ -204,6 +205,15 @@ class TestForcingStep:
         cert = forcing_step(FREE, free_family(MULT4), make_task(FREE, EMPTY, ODDS), 0)
         assert cert.condition == Condition()
         assert cert.met == ()
+
+    def test_depth_bound(self):
+        # the declared bound passes; one past it is refused
+        task = make_task(FREE, EMPTY, ODDS)
+        cert = forcing_step(FREE, free_family(MULT4), task, STEP_MAX_DEPTH)
+        assert cert.depth == STEP_MAX_DEPTH == 1000
+        assert len(cert.met) == STEP_MAX_DEPTH
+        with pytest.raises(BoundError, match="forcing depth limited to 1000, got 1001"):
+            forcing_step(FREE, free_family(MULT4), task, STEP_MAX_DEPTH + 1)
 
     def test_claim_failure_propagates(self):
         task = make_task(FREE, EVENS, TemplateSet.full())
