@@ -368,12 +368,37 @@ _HANDLERS = {
 }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace `build_parser().parse_args(argv)` gives, in one argparse pass.
+
+    When `argv[0]` names a command, the full parser would hand the rest to
+    that command's subparser alone, so the subparser parses it here, into a
+    namespace that holds the top-level defaults and the command.  Any other
+    command line (a leading global flag, `-h`, an unknown command), and one
+    that leaves words unparsed, goes through the full parser, so usage errors
+    keep its wording.  A usage error raises SystemExit, as `parse_args` does.
+    """
+    parser = build_parser()
+    start, commands = argparse.Namespace(), {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            commands = action.choices
+        elif action.default is not argparse.SUPPRESS:
+            setattr(start, action.dest, action.default)
+    if argv and argv[0] in commands:
+        start.command = argv[0]
+        args, unparsed = commands[argv[0]].parse_known_args(argv[1:], start)
+        if not unparsed:
+            return args
+    return parser.parse_args(argv)
+
+
 def dispatch(argv: list[str]) -> tuple[int, Report]:
     """Route one command line; returns (exit code, report).
 
     An argparse usage error raises SystemExit, as `parse_args` does.
     """
-    return _run(build_parser().parse_args(argv))
+    return _run(_parse_args(argv))
 
 
 def _run(args: argparse.Namespace) -> tuple[int, Report]:
@@ -391,7 +416,7 @@ def _run(args: argparse.Namespace) -> tuple[int, Report]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:  # argparse usage errors
         return EXIT_USAGE if exc.code else EXIT_OK
     code, report = _run(args)

@@ -24,7 +24,9 @@ from matroid_forge import (
     verify_is_gen_truncation,
 )
 from matroid_forge import selftest as st
-from matroid_forge.cli import EXIT_UNKNOWN, EXIT_USAGE, _run, build_parser, dispatch, main
+from matroid_forge.cli import (
+    EXIT_UNKNOWN, EXIT_USAGE, _parse_args, _run, build_parser, dispatch, main,
+)
 from matroid_forge.equivalence import UNKNOWN
 from matroid_forge.cli import _tri_exit
 from matroid_forge.files import parse_matroid_text
@@ -647,3 +649,46 @@ class TestParserCache:
         assert report_rows(dispatch(runs[2])[1])["seed"] == ["3"]
         assert build_parser() is build_parser()
         capsys.readouterr()
+
+    def test_one_pass_route_matches_full_parser(self, workdir, monkeypatch, capsys):
+        # every README CLI line (its `[...]` parts in and out), which covers each
+        # benchmark command shape, with the global flags before and after the
+        # command: `dispatch` reads the same namespace and gives the same report
+        # rows as a fresh parser's `parse_args`
+        monkeypatch.chdir(workdir)
+        (workdir / "m.txt").write_text((workdir / "ex.txt").read_text())
+        (workdir / "u23.txt").write_text("matroid u23\nkind uniform\nparams k=2 n=3\n")
+        (workdir / "fam.txt").write_text("family t\nset 1 2\nset 1 3\nset 2 3\n")
+        (workdir / "classes.txt").write_text("family c\nclass evens\nclass odds\n")
+        (workdir / "tasks.txt").write_text((workdir / "task.txt").read_text())
+        (workdir / "evens.txt").write_text("evens\n")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+        lines = [ln for ln in block.splitlines() if ln.startswith("matroid-forge ")]
+        lines.append("matroid-forge equiv classify --matroid free.txt --set evens.txt")
+        argvs = []
+        for line in lines:
+            for text in (re.sub(r"\s*\[[^]]*\]", "", line), re.sub(r"\[([^]]*)\]", r"\1", line)):
+                argvs.append(shlex.split(text)[1:])
+        assert len(argvs) == 30
+        for argv in argvs:
+            variants = (argv, ["--json", "--seed", "3", *argv], [*argv, "--seed=4", "--json"],
+                        ["--seed", "5", *argv, "--report", "r.txt", "--seed", "6"])
+            for i, variant in enumerate(variants):
+                fresh = build_parser.__wrapped__().parse_args(variant)
+                assert vars(_parse_args(variant)) == vars(fresh), variant
+                if i < 2:
+                    code, report = dispatch(variant)
+                    want_code, want = _run(fresh)
+                    assert (code, report.rows) == (want_code, want.rows), variant
+        # usage errors exit 2 through `main` with the full parser's message
+        for argv in (["equiv", "classify", "--matroid", "free.txt", "--set", "evens", "--fuel", "1"],
+                     ["axioms", "check"], ["--json", "axioms", "check"], ["axioms", "--json"],
+                     ["no-such-command"], ["equiv"], ["--seed", "x", "selftest", "oracle"],
+                     ["selftest", "oracle", "--seed", "x"], []):
+            with pytest.raises(SystemExit) as exc:
+                build_parser.__wrapped__().parse_args(argv)
+            assert exc.value.code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert main(argv) == EXIT_USAGE, argv
+            assert capsys.readouterr().err == err, argv

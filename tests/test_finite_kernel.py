@@ -28,6 +28,7 @@ that the kernel had before both moved onto masks; `TestDefinitionCheck` and
 from __future__ import annotations
 
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -118,6 +119,11 @@ def reference_independent_sets(matroid) -> tuple[frozenset, ...]:
     return tuple(found)
 
 
+# each matroid's independent sets, taken once per matroid: `independent_sets()`
+# rebuilds them on every call, and a matroid is checked against many families
+_INDEPENDENT_SETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def reference_verify_family(matroid, family) -> Verdict:
     bound = exhaustive_bound(VERIFY_FAMILY_MAX_GROUND)
     if len(matroid.ground) > bound:
@@ -129,7 +135,9 @@ def reference_verify_family(matroid, family) -> Verdict:
     for b in fam:
         if not matroid.is_independent(b):
             return Verdict.violation("1", b)
-    indep = matroid.independent_sets()
+    indep = _INDEPENDENT_SETS.get(matroid)
+    if indep is None:
+        indep = _INDEPENDENT_SETS[matroid] = matroid.independent_sets()
     by_size: dict[int, list[frozenset]] = {}
     for s in indep:
         by_size.setdefault(len(s), []).append(s)

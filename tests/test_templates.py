@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroid_forge import SpecError, TemplateSet
-from matroid_forge.templates import _PERIOD_LIMIT
+from matroid_forge.templates import _PERIOD_LIMIT, _mask, _tile
 
 
 class ReferenceTemplateSet:
@@ -551,6 +551,58 @@ def test_bitset_matches_reference_on_select():
         _assert_same_outcome(lambda: carrier.select(few), lambda: rcarrier.select(few))
 
 
+def test_mask_matches_sum_of_shifts():
+    # `_mask` writes a list with more than one member per 25 positions as binary
+    # text and ors a sparser one bit by bit: lists on both sides of that choice,
+    # with duplicates, against the plain sum over the distinct members
+    rng = random.Random(64)
+    cases = [([], 0), ([], 1), ([0], 1), ([0, 0], 1), ([3, 3, 0], 4), ([0, 500_000], 10**6),
+             ([999_999] * 3, 10**6)]
+    for width in (1, 7, 8, 9, 24, 25, 26, 50, 64, 200, 1845, 10**4, 10**5):
+        for count in {1, width // 25, width // 25 + 1, width // 4, width, 2 * width}:
+            cases.append(([rng.randrange(width) for _ in range(count)], width))
+    for values, width in cases:
+        assert _mask(values, width) == sum(1 << v for v in set(values)), (values[:5], width)
+
+
+# periods with many prime factors (1920 = 2^7 3 5, 720720 = 2^4 3^2 5 7 11 13), a
+# prime power and a prime near the limit: the constructor divides each prime
+# factor out of the period while the residue word repeats
+_FACTORED_PERIODS = (1920, 720720, 1 << 19, 999983)
+
+
+def _divisor_scan(period: int, divisors: list[int], res: int) -> tuple[int, int]:
+    """Least period and residue word of a `period`-bit residue word, by the
+    scan over every divisor that the constructor made before it read prime
+    factors."""
+    for e in divisors:
+        base = res & ((1 << e) - 1)
+        if base.bit_count() * (period // e) == res.bit_count() and _tile(base, e, period) == res:
+            return e, base
+    raise AssertionError("the full period always repeats")
+
+
+def test_canonical_period_matches_divisor_scan():
+    # residue words that repeat a dense or sparse pattern of a random divisor,
+    # some with one or two bits flipped so that a longer period is least
+    rng = random.Random(68)
+    for period in _FACTORED_PERIODS:
+        divisors = [e for e in range(1, period + 1) if period % e == 0]
+        for _ in range(8):
+            e = rng.choice(divisors)
+            base = rng.getrandbits(e) if rng.random() < 0.5 else 1 << rng.randrange(e)
+            word = _tile(base or 1, e, period)
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                word ^= 1 << rng.randrange(period)
+            if word:
+                t = TemplateSet._from_masks(period, word, 0, 0)
+                assert (t.period, t._res) == _divisor_scan(period, divisors, word), (period, e)
+    # the constructor's own route at the periods the frozenset reference affords
+    for _ in range(12):
+        args = _random_args(rng, (1920, 2520, 4096, 4093))
+        _assert_same_outcome(lambda: TemplateSet(*args), lambda: ReferenceTemplateSet(*args))
+
+
 def test_from_finite_matches_constructor():
     # same canonical fields, or the same SpecError, as `TemplateSet(1, (), max + 1, values)`;
     # likewise `empty()` and `full()` as `TemplateSet(1, ())` and `TemplateSet(1, (0,))`
@@ -676,3 +728,21 @@ class TestLargeTemplates:
 
     def test_dense_residues_reduce(self):
         assert TemplateSet(720_720, range(0, 720_720, 2)) == TemplateSet(2, [0])
+
+    def test_long_select_cycle_refused_before_reading_indices(self, monkeypatch):
+        # the canonical base of a U(999,1000) sum: the index period 8192 makes a
+        # cycle of lcm(8192, 999) indices, a period of 8 192 000; the bound is
+        # checked before any index is read
+        carrier, indices = TemplateSet(1000, range(999)), TemplateSet(8192, [2048])
+        mask_below, contains = TemplateSet.mask_below, TemplateSet.__contains__
+
+        def guard(read):
+            def wrapped(self, n):
+                assert self is not indices, "index set read before the bound check"
+                return read(self, n)
+            return wrapped
+
+        monkeypatch.setattr(TemplateSet, "mask_below", guard(mask_below))
+        monkeypatch.setattr(TemplateSet, "__contains__", guard(contains))
+        with pytest.raises(SpecError, match="limited to 1000000"):
+            carrier.select(indices)
